@@ -82,7 +82,8 @@ main()
     u64 slot = user % per_entry;
 
     PirQuery q = client.makeQuery(entry);
-    std::vector<u64> coeffs = client.decode(server.process(q));
+    std::vector<u64> coeffs =
+        client.decode(server.processAllPlanes(q)[0]);
 
     // Extract and verify the mailbox slice.
     auto expected = mailbox_content(user);

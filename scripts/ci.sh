@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# CI entry point: tier-1 build + tests, then an ASan/UBSan configuration.
+# CI entry point: tier-1 build + tests, then ASan/UBSan and TSan
+# configurations.
 #
 # Test subsets are selected by CTest label (see tests/CMakeLists.txt):
 # tier1 = everything, slow = full-pipeline crypto suites, thread = the
 # suites the TSan stage exercises.
 #
-# Usage: scripts/ci.sh [--quick] [--skip-sanitize] [--tsan] [--static]
+# Usage: scripts/ci.sh [--quick] [--skip-sanitize] [--static]
 #                      [--faults] [--serve]
 #   --quick          run only `-L tier1 -LE slow` (fast edit loop;
-#                    also skips the static, faults, and checked-build
-#                    stages)
+#                    also skips the static, faults, checked-build, and
+#                    TSan stages)
 #   --skip-sanitize  only run the tier-1 (plain Release) configuration
-#   --tsan           additionally run the thread-heavy suites under TSan
+#                    (no ASan/UBSan, no TSan)
 #   --static         run ONLY the static-analysis stage (lint.py,
 #                    clang thread-safety build, clang-tidy) and exit
 #   --faults         run ONLY the fault-injection stage (see below) and
@@ -62,14 +63,15 @@
 #
 # The ASan/UBSan stage runs the same suites (including test_simd's
 # backend sweeps) with the vector TUs instrumented, so out-of-bounds
-# lane loads/stores in the intrinsics paths surface there.
+# lane loads/stores in the intrinsics paths surface there. The TSan
+# stage (every full run) builds the ive_thread_tests target — the
+# suites labelled `thread` — and runs them instrumented.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 JOBS=${JOBS:-$(nproc)}
 SKIP_SANITIZE=0
-RUN_TSAN=0
 QUICK=0
 STATIC_ONLY=0
 FAULTS_ONLY=0
@@ -79,7 +81,6 @@ for arg in "$@"; do
     case "$arg" in
         --quick) QUICK=1; CTEST_SELECT=(-L tier1 -LE slow) ;;
         --skip-sanitize) SKIP_SANITIZE=1 ;;
-        --tsan) RUN_TSAN=1 ;;
         --static) STATIC_ONLY=1 ;;
         --faults) FAULTS_ONLY=1 ;;
         --serve) SERVE_ONLY=1 ;;
@@ -245,22 +246,25 @@ sys.exit(0 if ok else 1)
 EOF
 rm -rf "$OBS_TRACE_DIR"
 
-# Parallel-scaling gate: the full bench must show >= 2x answer speedup
-# at 8 threads over 1. Physically meaningful only with >= 8 cores, so
-# it is skipped under --quick and on smaller runners (the bench JSON
-# still records the core count for the record).
-if [ "$QUICK" -eq 0 ] && [ "$(nproc)" -ge 8 ]; then
-    echo "=== perf gate: 8-thread answer speedup >= 2x ==="
+# Parallel-scaling gate: the full bench sweeps thread counts up to
+# nproc, and the answer speedup at the largest swept count T >= 2 must
+# be at least T / 2 (a 4-core host measured 3.37x at 4 threads). It is
+# skipped under --quick and on single-core runners, where no count
+# >= 2 is swept.
+if [ "$QUICK" -eq 0 ] && [ "$(nproc)" -ge 2 ]; then
+    echo "=== perf gate: answer speedup >= threads / 2 at nproc ==="
     (cd build/bench && ./bench_e2e_query --out ci_bench.json)
     python3 - build/bench/ci_bench.json <<'EOF'
 import json, sys
 points = {p["threads"]: p for p in json.load(open(sys.argv[1]))["points"]}
-speedup = points[1]["answer_ms"] / points[8]["answer_ms"]
-print(f"8-thread answer speedup: {speedup:.2f}x")
-sys.exit(0 if speedup >= 2.0 else 1)
+top = max(points)
+speedup = points[1]["answer_ms"] / points[top]["answer_ms"]
+print(f"{top}-thread answer speedup: {speedup:.2f}x "
+      f"(gate >= {0.5 * top:.1f}x)")
+sys.exit(0 if speedup >= 0.5 * top else 1)
 EOF
 else
-    echo "=== perf gate: skipped (--quick or < 8 cores: $(nproc)) ==="
+    echo "=== perf gate: skipped (--quick or single core: $(nproc)) ==="
 fi
 
 if [ "$QUICK" -eq 0 ]; then
@@ -292,14 +296,11 @@ if [ "$SKIP_SANITIZE" -eq 0 ]; then
           "${CTEST_SELECT[@]}"
 fi
 
-if [ "$RUN_TSAN" -eq 1 ]; then
+if [ "$SKIP_SANITIZE" -eq 0 ] && [ "$QUICK" -eq 0 ]; then
     echo "=== TSan build + thread-heavy suites (-L thread) ==="
     cmake -B build-tsan -S . -DIVE_TSAN=ON -DCMAKE_BUILD_TYPE=RelWithDebInfo \
           -DIVE_BUILD_BENCHES=OFF -DIVE_BUILD_EXAMPLES=OFF
-    cmake --build build-tsan -j "$JOBS" --target \
-          test_thread_pool test_parallel_server test_system \
-          test_session test_shard test_golden test_obs test_fault \
-          test_net
+    cmake --build build-tsan -j "$JOBS" --target ive_thread_tests
     ctest --test-dir build-tsan --output-on-failure -L thread
 fi
 

@@ -41,6 +41,14 @@ Rules (each line reports as ``path:line: [rule] message``):
                       src/ would bypass all four. Benches and tests are
                       exempt (they drive PirTcpClient, which lives in
                       src/net/).
+  serving-layering    The serving modules (src/pir, src/shard, src/net,
+                      src/obs) must not include the accelerator
+                      simulator, the analytic models or the system
+                      studies (sim/, model/, system/). Every header is
+                      reachable from every module through the shared
+                      include root, so without this rule a stray
+                      include would quietly pull those libraries back
+                      into the serving link.
 
 Escape hatch: a finding is suppressed when the flagged line, or the
 line directly above it, carries
@@ -101,6 +109,10 @@ RAW_SOCKET_RE = re.compile(
     r"(?:send|recv|sendto|recvfrom|sendmsg|recvmsg)\s*\("
     r"|(?<![A-Za-z0-9_:])::\s*(?:read|write)\s*\("
 )
+SERVING_MODULES = ("src/pir/", "src/shard/", "src/net/", "src/obs/")
+INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
+SERVING_INCLUDE_RE = re.compile(
+    r'^\s*#\s*include\s*[<"](?:sim|system|model)/')
 GUARD_IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(IVE_\w+_HH)\s*$", re.M)
 GUARD_DEFINE_RE = re.compile(r"^\s*#\s*define\s+(IVE_\w+_HH)\s*$", re.M)
 
@@ -115,6 +127,7 @@ ALL_RULES = (
     "raw-chrono",
     "catch-all",
     "raw-socket",
+    "serving-layering",
 )
 
 
@@ -247,6 +260,16 @@ def lint_file(f: Findings, root: Path, path: Path) -> None:
                 "through PirTcpServer/PirTcpClient so framing, "
                 "deadlines, backpressure and the net.* failpoints "
                 "apply")
+        # The include path is a string literal, which strip_code
+        # blanks: match it on the raw line once the code line shows a
+        # live #include (not one inside a comment).
+        if rel.startswith(SERVING_MODULES) and \
+                INCLUDE_RE.match(code_lines[idx]):
+            check_line_rule(
+                f, rel, raw_lines, raw_lines, idx, "serving-layering",
+                SERVING_INCLUDE_RE,
+                "serving code includes sim/, model/ or system/; the "
+                "serving libraries must not link the simulator stack")
         if rel in HOT_PATH_FILES:
             check_line_rule(
                 f, rel, raw_lines, code_lines, idx, "hot-path-alloc",
@@ -382,6 +405,17 @@ def self_test() -> int:
         ("src/x.cc", "reader.read(buf);\n", None),
         ("src/x.cc", "io::write(sink, bytes);\n", None),
         ("tests/t.cc", "::send(fd, p, len, 0);\n", None),
+        # Serving modules stay off the simulator stack.
+        ("src/shard/x.cc", '#include "system/batch_scheduler.hh"\n',
+         "serving-layering"),
+        ("src/net/x.cc", "#include <sim/config.hh>\n",
+         "serving-layering"),
+        ("src/pir/x.cc", '#  include "model/cost.hh"\n',
+         "serving-layering"),
+        ("src/system/x.cc", '#include "sim/config.hh"\n', None),
+        ("src/obs/x.cc", '#include "common/types.hh"\n', None),
+        ("src/pir/x.cc", '// #include "sim/config.hh" once did\n', None),
+        ("tests/t.cc", '#include "system/batch_scheduler.hh"\n', None),
     ]
 
     failures = 0

@@ -49,9 +49,9 @@
  *
  * The canonical sites (README "Robustness" keeps the catalog):
  *
- *   shard.answer.delay      sleep arg ms inside a shard's answerPartial
- *   shard.answer.error      throw ive::Error from answerPartial
- *   shard.answer.hang       block answerPartial until the point is
+ *   shard.answer.delay      sleep arg ms inside ShardServer::answer
+ *   shard.answer.error      throw ive::Error from ShardServer::answer
+ *   shard.answer.hang       block ShardServer::answer until the point is
  *                           disarmed (cap: arg ms, default 2000)
  *   dispatch.queue.reject   force ShardDispatcher::submit to shed as
  *                           if the queue hit its high-water mark

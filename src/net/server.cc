@@ -15,7 +15,7 @@
 #include "common/failpoint.hh"
 #include "common/logging.hh"
 #include "obs/metrics.hh"
-#include "pir/wire.hh"
+#include "pir/session.hh"
 
 namespace ive::net {
 
@@ -115,8 +115,7 @@ setNonBlocking(int fd)
 
 PirTcpServer::PirTcpServer(const HeContext &ctx, const PirParams &params,
                            const Database *db, NetServerConfig cfg)
-    : ctx_(ctx), cfg_(std::move(cfg)),
-      registry_(ctx, params, db, cfg_.registry),
+    : cfg_(std::move(cfg)), registry_(ctx, params, db, cfg_.registry),
       dispatcher_(cfg_.scheduler)
 {
     ive_assert(cfg_.maxConnections >= 1);
@@ -625,16 +624,13 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
         }
         ++c.inFlight;
         u64 conn_id = c.id;
-        // The thunk below is byte-for-byte ServerSession::answer():
-        // deserializeQuery -> processAllPlanes -> serializeResponse,
-        // just bound to this client's registered engine. The engine
-        // shared_ptr pins it across a concurrent LRU eviction.
+        // The same answer path ServerSession::answer() runs, bound to
+        // this client's registered engine. The engine shared_ptr pins
+        // it across a concurrent LRU eviction.
         dispatcher_.submit(
             std::move(ref.queryBlob),
-            [this, engine](const std::vector<u8> &blob) {
-                PirQuery q = deserializeQuery(ctx_, blob);
-                PirResponse resp{engine->processAllPlanes(q)};
-                return serializeResponse(ctx_, resp);
+            [engine](const std::vector<u8> &blob) {
+                return answerQuery(*engine, blob);
             },
             [this, conn_id, seq](std::vector<u8> resp,
                                  std::exception_ptr err) {

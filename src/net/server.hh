@@ -12,10 +12,11 @@
  * out-of-order completions are held until their predecessors flush).
  *
  * Query flow: socket -> FrameCodec -> SessionRegistry lookup ->
- * ShardDispatcher thunk -> engine answer -> ordered write-back. The
- * answer thunk is byte-for-byte the in-process ServerSession::answer()
- * path (deserializeQuery -> processAllPlanes -> serializeResponse), so
- * a socket client and an in-process caller see identical bytes.
+ * ShardDispatcher thunk -> answerQuery(engine, blob) -> ordered
+ * write-back. answerQuery (pir/session.hh) is the one answer path
+ * ServerSession::answer() runs too, so a socket client and an
+ * in-process caller see identical bytes, and a socket query records
+ * the same trace, stage spans and session byte counters.
  *
  * Robustness posture (README "Network serving"):
  *
@@ -58,6 +59,7 @@
 
 #include "net/frame.hh"
 #include "net/registry.hh"
+#include "pir/wire.hh"
 #include "shard/dispatcher.hh"
 
 namespace ive::net {
@@ -201,10 +203,9 @@ class PirTcpServer
                         bool is_error);
     void kick();
 
-    const HeContext &ctx_;
     NetServerConfig cfg_;
     SessionRegistry registry_;
-    ShardDispatcher dispatcher_; ///< Coordinator-less (thunks only).
+    ShardDispatcher dispatcher_;
 
     int listenFd_ = -1;
     int epollFd_ = -1;

@@ -1,6 +1,5 @@
 #include "pir/batch.hh"
 
-#include "common/thread_pool.hh"
 #include "obs/metrics.hh"
 
 namespace ive {
@@ -15,29 +14,20 @@ now()
 
 } // namespace
 
-std::vector<BfvCiphertext>
-processBatch(const PirServer &server, const std::vector<PirQuery> &queries,
-             int plane)
-{
-    // Queries are independent; batch-level parallelism takes the
-    // coarse lane, and the per-query parallelism inside process()
-    // degrades to inline execution on the worker threads.
-    std::vector<BfvCiphertext> responses(queries.size());
-    parallelFor(0, queries.size(), [&](u64 i) {
-        responses[i] = server.process(queries[i], plane);
-    });
-    return responses;
-}
-
 CpuPhaseTimes
 measureCpuQuery(const PirServer &server, const PirQuery &query)
 {
     CpuPhaseTimes t;
 
+    // Expansion and selector assembly run unfused so each phase gets
+    // its own timing.
     double t0 = now();
-    std::vector<BfvCiphertext> leaves = server.expandQuery(query);
+    std::vector<RgswCiphertext> none;
+    std::vector<BfvCiphertext> leaves =
+        server.expandAndSelect(query, 0, 0, none);
     double t1 = now();
-    std::vector<RgswCiphertext> selectors = server.buildSelectors(leaves);
+    std::vector<RgswCiphertext> selectors =
+        server.buildSelectors(leaves, 0, server.params().d);
     double t2 = now();
     std::vector<BfvCiphertext> entries = server.rowSel(leaves);
     double t3 = now();

@@ -1,13 +1,13 @@
 /**
  * @file
- * Multi-query batch execution and CPU phase timing.
+ * CPU phase timing of the query pipeline.
  *
- * Batching (paper SIII-B) shares the database scan across queries:
- * functionally the queries are independent, so the batch runner simply
- * executes them against the same preprocessed database. The timing
- * helpers measure per-phase CPU cost on a resident-size database and
- * extrapolate the linear-in-D phases (RowSel, ColTor) to the paper's
- * multi-GB targets (see EXPERIMENTS.md for the methodology).
+ * The timing helpers measure per-phase CPU cost on a resident-size
+ * database and extrapolate the linear-in-D phases (RowSel, ColTor) to
+ * the paper's multi-GB targets (see EXPERIMENTS.md for the
+ * methodology). A batch of queries (paper SIII-B) needs no helper of
+ * its own: queries are independent, so a caller runs parallelFor over
+ * PirServer::processAllPlanes or ServerSession::answer.
  */
 
 #ifndef IVE_PIR_BATCH_HH
@@ -31,11 +31,6 @@ struct CpuPhaseTimes
         return expandSec + selectorSec + rowselSec + coltorSec;
     }
 };
-
-/** Executes a batch of queries; returns one response per query. */
-std::vector<BfvCiphertext>
-processBatch(const PirServer &server,
-             const std::vector<PirQuery> &queries, int plane = 0);
 
 /** Times each phase of a single query on the host CPU. */
 CpuPhaseTimes measureCpuQuery(const PirServer &server,

@@ -72,7 +72,7 @@ KsPir::makeQuery(u64 entry)
 BfvCiphertext
 KsPir::answer(const PirQuery &query) const
 {
-    BfvCiphertext resp = server_->process(query);
+    BfvCiphertext resp = server_->processAllPlanes(query)[0];
     return partialTrace(ctx_, resp, keys_.evks, params_.traceSteps);
 }
 

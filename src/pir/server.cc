@@ -97,7 +97,7 @@ PirServer::PirServer(const HeContext &ctx, const PirParams &params,
     // Subs and external product of the serving path. Normalize them
     // once here instead of checking (or silently mis-using a
     // coefficient-form key blob — the wire format tags either domain)
-    // inside expandQuery: after this, the hot path never transforms a
+    // inside the expansion: after this, the hot path never transforms a
     // key again.
     const Ring &ring = ctx_.ring();
     auto toNttOnce = [&](BfvCiphertext &row) {
@@ -140,13 +140,6 @@ int
 PirServer::localLevels() const
 {
     return log2Exact(localColumns());
-}
-
-std::vector<BfvCiphertext>
-PirServer::expandQuery(const PirQuery &query) const
-{
-    std::vector<RgswCiphertext> none;
-    return expandAndSelect(query, 0, 0, none);
 }
 
 std::vector<BfvCiphertext>
@@ -254,12 +247,6 @@ PirServer::expandAndSelect(const PirQuery &query, int sel_from,
         leaves[node.idx] = std::move(node.ct);
     }
     return leaves;
-}
-
-std::vector<RgswCiphertext>
-PirServer::buildSelectors(const std::vector<BfvCiphertext> &leaves) const
-{
-    return buildSelectors(leaves, 0, params_.d);
 }
 
 std::vector<RgswCiphertext>
@@ -493,15 +480,8 @@ PirServer::foldPairInPlace(BfvCiphertext &e0, const BfvCiphertext &e1,
 
 BfvCiphertext
 PirServer::colTor(std::vector<BfvCiphertext> entries,
-                  const std::vector<RgswCiphertext> &sel) const
-{
-    return foldTournament(std::move(entries), sel, 0);
-}
-
-BfvCiphertext
-PirServer::foldTournament(std::vector<BfvCiphertext> entries,
-                          const std::vector<RgswCiphertext> &sel,
-                          int sel_offset) const
+                  const std::vector<RgswCiphertext> &sel,
+                  int sel_offset) const
 {
     StageMetrics &sm = stageMetrics();
     obs::StageSpan span(&sm.fold, "fold");
@@ -553,36 +533,8 @@ PirServer::colTorScheduled(std::vector<BfvCiphertext> entries,
     return entries[0];
 }
 
-BfvCiphertext
-PirServer::process(const PirQuery &query, int plane) const
-{
-    ive_assert(localColumns() == (u64{1} << params_.d),
-               "process() needs the full database; shards use "
-               "processPartial()");
-    return processPartial(query, plane);
-}
-
 std::vector<BfvCiphertext>
 PirServer::processAllPlanes(const PirQuery &query) const
-{
-    ive_assert(localColumns() == (u64{1} << params_.d),
-               "processAllPlanes() needs the full database; shards use "
-               "processAllPlanesPartial()");
-    return processAllPlanesPartial(query);
-}
-
-BfvCiphertext
-PirServer::processPartial(const PirQuery &query, int plane) const
-{
-    std::vector<RgswCiphertext> selectors;
-    std::vector<BfvCiphertext> leaves =
-        expandAndSelect(query, 0, localLevels(), selectors);
-    std::vector<BfvCiphertext> entries = rowSel(leaves, plane);
-    return colTor(std::move(entries), selectors);
-}
-
-std::vector<BfvCiphertext>
-PirServer::processAllPlanesPartial(const PirQuery &query) const
 {
     std::vector<RgswCiphertext> selectors;
     std::vector<BfvCiphertext> leaves =

@@ -17,14 +17,14 @@
  *
  * Sharded serving (paper SV): the database may be a record-axis slice
  * covering a power-of-two, boundary-aligned run of the 2^d ColTor
- * columns. processPartial() then runs RowSel plus only the local
- * localLevels() tournament levels and returns the unfused partial
- * ciphertext; the coordinator finishes with foldTournament() over the
- * gathered partials using the remaining selectors. Because every fold
- * the single server would perform happens once, on the same operands,
- * in the same order, the sharded result is byte-identical to the
- * monolithic one. A server built with db == nullptr is fold-only: it
- * expands queries and folds partials but cannot run RowSel.
+ * columns. processAllPlanes() then runs RowSel plus only the local
+ * localLevels() tournament levels and returns the unfused partials;
+ * the coordinator finishes with colTor(entries, sel, sel_offset) over
+ * the gathered partials using the remaining selectors. Because every
+ * fold the single server would perform happens once, on the same
+ * operands, in the same order, the sharded result is byte-identical to
+ * the monolithic one. A server built with db == nullptr is fold-only:
+ * it expands queries and folds partials but cannot run RowSel.
  */
 
 #ifndef IVE_PIR_SERVER_HH
@@ -104,40 +104,28 @@ class PirServer
     /**
      * Expands the query into usedLeaves() ciphertexts: [0, D0) are the
      * one-hot RowSel selectors, the rest are RGSW gadget rows. Branches
-     * with no used leaves are pruned.
-     */
-    std::vector<BfvCiphertext> expandQuery(const PirQuery &query) const;
-
-    /** Assembles all d RGSW selectors from the expanded leaves. */
-    std::vector<RgswCiphertext>
-    buildSelectors(const std::vector<BfvCiphertext> &leaves) const;
-
-    /**
-     * Assembles only the selectors for tournament levels [from, to).
-     * The result is still indexed [0, d) so it plugs straight into
-     * colTor/foldTournament; unbuilt slots stay empty. Shards build
-     * just their localLevels() and the coordinator just the final
-     * log2(num_shards), saving the broadcast's duplicated external
-     * products.
-     */
-    std::vector<RgswCiphertext>
-    buildSelectors(const std::vector<BfvCiphertext> &leaves, int from,
-                   int to) const;
-
-    /**
-     * Expansion overlapped with selector assembly: identical leaves to
-     * expandQuery(), and on return selectors holds the RGSW selectors
-     * for tournament levels [sel_from, sel_to) (indexed [0, d), unbuilt
-     * slots empty — the same shape buildSelectors returns). A selector
-     * leaf is final as soon as the last expansion level produces it, so
-     * each last-level node task builds the selector rows for the leaves
-     * it owns inside the same parallel batch, instead of a full barrier
-     * between expansion and assembly. Byte-identical to expandQuery()
-     * followed by buildSelectors(leaves, sel_from, sel_to).
+     * with no used leaves are pruned. On return selectors holds the RGSW
+     * selectors for tournament levels [sel_from, sel_to), indexed
+     * [0, d) with unbuilt slots empty; sel_from == sel_to expands only.
+     * A selector leaf is final as soon as the last expansion level
+     * produces it, so each last-level node task builds the selector
+     * rows for the leaves it owns inside the same parallel batch,
+     * instead of a full barrier between expansion and assembly.
+     * Byte-identical to expanding alone followed by
+     * buildSelectors(leaves, sel_from, sel_to).
      */
     std::vector<BfvCiphertext>
     expandAndSelect(const PirQuery &query, int sel_from, int sel_to,
                     std::vector<RgswCiphertext> &selectors) const;
+
+    /**
+     * Unfused reference for the selector half of expandAndSelect():
+     * assembles the selectors for tournament levels [from, to) from
+     * already-expanded leaves, indexed [0, d) with unbuilt slots empty.
+     */
+    std::vector<RgswCiphertext>
+    buildSelectors(const std::vector<BfvCiphertext> &leaves, int from,
+                   int to) const;
 
     /**
      * RowSel over one plane: one accumulated ciphertext per local
@@ -147,21 +135,14 @@ class PirServer
     rowSel(const std::vector<BfvCiphertext> &leaves, int plane = 0) const;
 
     /**
-     * ColTor tournament in the default (BFS) order over a power-of-two
-     * entry run, folding the leading log2(entries.size()) dimensions.
+     * ColTor tournament in the default (BFS) order over 2^L entries,
+     * using sel[sel_offset + t] at depth t. sel_offset = 0 folds the
+     * leading dimensions; the coordinator's final fold over gathered
+     * shard partials uses sel_offset = d - log2(num_shards).
      */
     BfvCiphertext colTor(std::vector<BfvCiphertext> entries,
-                         const std::vector<RgswCiphertext> &sel) const;
-
-    /**
-     * BFS tournament over 2^L entries using sel[sel_offset + t] at
-     * depth t: the final fold the coordinator runs over gathered shard
-     * partials (sel_offset = d - log2(num_shards)).
-     */
-    BfvCiphertext
-    foldTournament(std::vector<BfvCiphertext> entries,
-                   const std::vector<RgswCiphertext> &sel,
-                   int sel_offset) const;
+                         const std::vector<RgswCiphertext> &sel,
+                         int sel_offset = 0) const;
 
     /** ColTor executed in an arbitrary valid schedule order. */
     BfvCiphertext
@@ -169,25 +150,14 @@ class PirServer
                     const std::vector<RgswCiphertext> &sel,
                     const std::vector<TreeOp> &schedule) const;
 
-    /** Full pipeline for one plane (requires the full database). */
-    BfvCiphertext process(const PirQuery &query, int plane = 0) const;
-
-    /** Full pipeline for all planes (one expansion, shared). */
+    /**
+     * The pipeline for all planes (one expansion, shared): RowSel over
+     * the local slice plus its localLevels() leading tournament levels.
+     * For a full database that is the complete answer; for a shard it
+     * is the unfused partial the coordinator folds.
+     */
     std::vector<BfvCiphertext> processAllPlanes(const PirQuery &query)
         const;
-
-    /**
-     * Partial pipeline for one plane: RowSel over the local slice plus
-     * the localLevels() leading tournament levels. For a full database
-     * this is the complete answer; for a shard it is the unfused
-     * partial the coordinator folds.
-     */
-    BfvCiphertext processPartial(const PirQuery &query, int plane = 0)
-        const;
-
-    /** Partial pipeline for all planes (one expansion, shared). */
-    std::vector<BfvCiphertext>
-    processAllPlanesPartial(const PirQuery &query) const;
 
     /** ColTor columns the local database slice covers. */
     u64 localColumns() const;
@@ -198,7 +168,10 @@ class PirServer
     const ServerCounters &counters() const { return counters_; }
     void resetCounters() const { counters_.reset(); }
 
+    const HeContext &context() const { return ctx_; }
     const PirParams &params() const { return params_; }
+    /** The database slice (nullptr on a fold-only server). */
+    const Database *database() const { return db_; }
 
   private:
     /**

@@ -1,7 +1,6 @@
 #include "pir/session.hh"
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "obs/trace.hh"
 
 namespace ive {
@@ -110,16 +109,6 @@ shardRecordRange(const PirParams &params, u32 shard, u32 num_shards)
 
 } // namespace
 
-ServerSession::ServerSession(std::span<const u8> params_blob)
-    : ServerSession(deserializeParams(params_blob))
-{
-}
-
-ServerSession::ServerSession(const PirParams &params)
-    : ServerSession(params, 0, 1)
-{
-}
-
 ServerSession::ServerSession(std::span<const u8> params_blob, u32 shard,
                              u32 num_shards)
     : ServerSession(deserializeParams(params_blob), shard, num_shards)
@@ -179,123 +168,45 @@ ServerSession::server() const
     return *server_;
 }
 
-void
-ServerSession::requireFullDatabase() const
+std::vector<u8>
+answerQuery(const PirServer &engine, std::span<const u8> query_blob)
 {
-    if (numShards_ != 1)
-        throw std::logic_error(strprintf(
-            "ServerSession: shard %u/%u holds a record slice; only "
-            "answerPartial() is available",
-            shard_, numShards_));
+    SessionMetrics &sm = sessionMetrics();
+    obs::Tracer::QueryTrace trace("answer");
+    obs::StageSpan whole(&sm.answerNs, "answer");
+    sm.requestBytes.add(query_blob.size());
+    const HeContext &ctx = engine.context();
+    PirQuery q = deserializeQuery(ctx, query_blob);
+    std::vector<BfvCiphertext> planes = engine.processAllPlanes(q);
+    std::vector<u8> out;
+    {
+        obs::StageSpan ser(&sm.serializeNs, "serialize");
+        // PirServer's constructor pins a slice to whole columns on a
+        // tournament boundary, so its position names the shard.
+        const u64 cols = engine.localColumns();
+        const u64 all = u64{1} << engine.params().d;
+        if (cols == all) {
+            out = serializeResponse(ctx, PirResponse{std::move(planes)});
+        } else {
+            const u64 slice = engine.database()->firstEntry() /
+                              (cols * engine.params().d0);
+            out = serializePartialResponse(
+                ctx, PirPartialResponse{static_cast<u32>(slice),
+                                        static_cast<u32>(all / cols),
+                                        std::move(planes)});
+        }
+    }
+    sm.responseBytes.add(out.size());
+    sm.queries.add(1);
+    return out;
 }
 
 std::vector<u8>
 ServerSession::answer(std::span<const u8> query_blob) const
 {
-    requireFullDatabase();
-    SessionMetrics &sm = sessionMetrics();
-    obs::Tracer::QueryTrace trace("answer");
-    obs::StageSpan whole(&sm.answerNs, "answer");
-    sm.requestBytes.add(query_blob.size());
-    PirQuery q = deserializeQuery(ctx_, query_blob);
-    PirResponse resp{server().processAllPlanes(q)};
+    std::vector<u8> out = answerQuery(server(), query_blob);
     queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<u8> out;
-    {
-        obs::StageSpan ser(&sm.serializeNs, "serialize");
-        out = serializeResponse(ctx_, resp);
-    }
-    sm.responseBytes.add(out.size());
-    sm.queries.add(1);
     return out;
-}
-
-std::vector<u8>
-ServerSession::answerPlane(std::span<const u8> query_blob, int plane) const
-{
-    requireFullDatabase();
-    SessionMetrics &sm = sessionMetrics();
-    obs::Tracer::QueryTrace trace("plane");
-    obs::StageSpan whole(&sm.answerNs, "answer");
-    sm.requestBytes.add(query_blob.size());
-    PirQuery q = deserializeQuery(ctx_, query_blob);
-    PirResponse resp{{server().process(q, plane)}};
-    queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<u8> out;
-    {
-        obs::StageSpan ser(&sm.serializeNs, "serialize");
-        out = serializeResponse(ctx_, resp);
-    }
-    sm.responseBytes.add(out.size());
-    sm.queries.add(1);
-    return out;
-}
-
-std::vector<u8>
-ServerSession::answerPartial(std::span<const u8> query_blob) const
-{
-    SessionMetrics &sm = sessionMetrics();
-    obs::Tracer::QueryTrace trace("partial");
-    obs::StageSpan whole(&sm.answerNs, "answer");
-    sm.requestBytes.add(query_blob.size());
-    PirQuery q = deserializeQuery(ctx_, query_blob);
-    PirPartialResponse partial{shard_, numShards_,
-                               server().processAllPlanesPartial(q)};
-    queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<u8> out;
-    {
-        obs::StageSpan ser(&sm.serializeNs, "serialize");
-        out = serializePartialResponse(ctx_, partial);
-    }
-    sm.responseBytes.add(out.size());
-    sm.queries.add(1);
-    return out;
-}
-
-std::vector<std::vector<u8>>
-ServerSession::answerBatch(
-    const std::vector<std::vector<u8>> &query_blobs) const
-{
-    requireFullDatabase();
-    SessionMetrics &sm = sessionMetrics();
-    obs::Tracer::QueryTrace trace("batch");
-    // Deserialize up front so a malformed blob throws on the calling
-    // thread, then answer in parallel (queries are independent).
-    std::vector<PirQuery> queries;
-    queries.reserve(query_blobs.size());
-    for (const auto &blob : query_blobs) {
-        sm.requestBytes.add(blob.size());
-        queries.push_back(deserializeQuery(ctx_, blob));
-    }
-
-    const PirServer &srv = server();
-    std::vector<std::vector<u8>> responses(queries.size());
-    if (queries.size() <
-        static_cast<u64>(ThreadPool::global().size())) {
-        // Fewer queries than lanes: answer serially so each query's
-        // internal stage parallelism (expand nodes, RowSel columns,
-        // fold pairs, per-residue kernels) spreads across the pool
-        // instead of pinning whole queries to single workers.
-        for (u64 i = 0; i < queries.size(); ++i) {
-            obs::StageSpan whole(&sm.answerNs, "answer");
-            PirResponse resp{srv.processAllPlanes(queries[i])};
-            obs::StageSpan ser(&sm.serializeNs, "serialize");
-            responses[i] = serializeResponse(ctx_, resp);
-        }
-    } else {
-        parallelFor(0, queries.size(), [&](u64 i) {
-            obs::StageSpan whole(&sm.answerNs, "answer");
-            PirResponse resp{srv.processAllPlanes(queries[i])};
-            obs::StageSpan ser(&sm.serializeNs, "serialize");
-            responses[i] = serializeResponse(ctx_, resp);
-        });
-    }
-    queriesAnswered_.fetch_add(queries.size(),
-                               std::memory_order_relaxed);
-    for (const auto &blob : responses)
-        sm.responseBytes.add(blob.size());
-    sm.queries.add(queries.size());
-    return responses;
 }
 
 const ServerCounters &

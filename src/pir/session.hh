@@ -12,9 +12,12 @@
  *   client: queryBlob(index) ------------> answer(query_blob)
  *   client: decodeResponse(resp_blob) <--- (all planes of the record)
  *
- * ServerSession::answerBatch() fans a batch of query blobs across the
- * global thread pool; since every pipeline stage and the serializer are
- * deterministic, response blobs are byte-identical at any thread count.
+ * Every server-side caller — ServerSession, the socket front-end's
+ * per-client engines (net/server.hh) and the shard servers — answers a
+ * query blob through the one answerQuery() below. Every pipeline stage
+ * and the serializer are deterministic, so response blobs are
+ * byte-identical at any thread count; a batch is parallelFor over
+ * answer().
  */
 
 #ifndef IVE_PIR_SESSION_HH
@@ -36,6 +39,17 @@ namespace ive {
 PirPublicKeys deserializeCompatibleKeys(const HeContext &ctx,
                                         const PirParams &params,
                                         std::span<const u8> key_blob);
+
+/**
+ * The query path: deserializeQuery -> processAllPlanes -> serialize,
+ * under the query's trace, the answer and serialize stage spans, and
+ * the session query and byte counters. An engine whose slice covers
+ * all 2^d columns returns a Response blob; a shard engine returns its
+ * slice's PartialResponse blob, with the shard index and count derived
+ * from the slice position. Throws SerializeError on a malformed blob.
+ */
+std::vector<u8> answerQuery(const PirServer &engine,
+                            std::span<const u8> query_blob);
 
 class ClientSession
 {
@@ -71,20 +85,18 @@ class ClientSession
 class ServerSession
 {
   public:
-    /** Builds the server-side context from a client's params blob. */
-    explicit ServerSession(std::span<const u8> params_blob);
-    explicit ServerSession(const PirParams &params);
-
     /**
-     * Builds a shard session holding record slice `shard` of
-     * `num_shards` (power of two, at most 2^d so every shard covers
-     * whole ColTor columns). answer() is unavailable on a shard with
-     * num_shards > 1; use answerPartial() and let the coordinator
-     * finish the fold (shard/coordinator.hh).
+     * Builds the server-side context from a client's params. The
+     * session holds record slice `shard` of `num_shards` (power of two,
+     * at most 2^d so every shard covers whole ColTor columns; anything
+     * else throws std::invalid_argument). The default is the whole
+     * database; a shard session's answer() returns its PartialResponse
+     * for the coordinator's final fold (shard/coordinator.hh).
      */
-    ServerSession(std::span<const u8> params_blob, u32 shard,
-                  u32 num_shards);
-    ServerSession(const PirParams &params, u32 shard, u32 num_shards);
+    explicit ServerSession(std::span<const u8> params_blob, u32 shard = 0,
+                           u32 num_shards = 1);
+    explicit ServerSession(const PirParams &params, u32 shard = 0,
+                           u32 num_shards = 1);
 
     const PirParams &params() const { return params_; }
     const HeContext &context() const { return ctx_; }
@@ -98,26 +110,11 @@ class ServerSession
     /** Ingests a client's public-key blob; answer() works after this. */
     void ingestKeys(std::span<const u8> key_blob);
 
-    /** Answers one query blob with all planes of the record. */
+    /**
+     * Answers one query blob with all planes of the record: a Response
+     * blob, or on a shard session its PartialResponse blob.
+     */
     std::vector<u8> answer(std::span<const u8> query_blob) const;
-
-    /** Answers one query blob for a single plane. */
-    std::vector<u8> answerPlane(std::span<const u8> query_blob,
-                                int plane) const;
-
-    /**
-     * Answers one query blob with this shard's PartialResponse blob:
-     * the slice-local RowSel + ColTor partial per plane, for the
-     * coordinator's final tournament fold.
-     */
-    std::vector<u8> answerPartial(std::span<const u8> query_blob) const;
-
-    /**
-     * Answers a batch of query blobs in parallel on the global thread
-     * pool (each response carries all planes).
-     */
-    std::vector<std::vector<u8>>
-    answerBatch(const std::vector<std::vector<u8>> &query_blobs) const;
 
     /** Pipeline op counters of the underlying server (keys required). */
     const ServerCounters &counters() const;
@@ -131,7 +128,6 @@ class ServerSession
 
   private:
     const PirServer &server() const;
-    void requireFullDatabase() const;
 
     PirParams params_;
     HeContext ctx_;
@@ -140,7 +136,7 @@ class ServerSession
     Database db_;
     /**
      * Write-once state: set by ingestKeys() before any concurrent
-     * answer*() call starts (the documented session handshake), then
+     * answer() call starts (the documented session handshake), then
      * only read. Deliberately not IVE_GUARDED_BY — a capability here
      * would put a lock on the read-only serving hot path; the
      * handshake order is what TSan's session suites pin down.

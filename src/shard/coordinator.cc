@@ -144,7 +144,7 @@ ShardCoordinator::callReplica(ShardServer &srv,
                               std::span<const u8> query_blob)
 {
     if (fo_.shardDeadlineSec <= 0.0)
-        return srv.answerPartial(query_blob);
+        return srv.answer(query_blob);
 
     // Watchdog path: run the call on its own thread and wait no longer
     // than the deadline. On expiry the call is abandoned — its thread
@@ -154,7 +154,7 @@ ShardCoordinator::callReplica(ShardServer &srv,
     auto blob = std::make_shared<const std::vector<u8>>(
         query_blob.begin(), query_blob.end());
     std::packaged_task<std::vector<u8>()> task(
-        [&srv, blob] { return srv.answerPartial(*blob); });
+        [&srv, blob] { return srv.answer(*blob); });
     std::future<std::vector<u8>> fut = task.get_future();
     std::thread runner(std::move(task));
     if (fut.wait_for(std::chrono::duration<double>(
@@ -215,12 +215,6 @@ ShardCoordinator::gatherSlice(u32 slice,
 std::vector<u8>
 ShardCoordinator::answer(std::span<const u8> query_blob)
 {
-    return answerOne(query_blob);
-}
-
-std::vector<u8>
-ShardCoordinator::answerOne(std::span<const u8> query_blob)
-{
     obs::Tracer::QueryTrace trace("shard_answer");
     // Parse once up front: a malformed query must reach no shard (and
     // must surface as SerializeError, never burn the retry budget).
@@ -266,11 +260,17 @@ ShardCoordinator::finishFold(
 
     // Decode and order by shard index; the set must be complete (every
     // shard exactly once) and agree on the topology and plane count.
+    // A one-slice deployment's slice covers every column, so its shard
+    // answers with the complete Response (pir/session.hh answerQuery).
     std::vector<PirPartialResponse> partials(n);
     std::vector<bool> seen(n, false);
     u64 gather_bytes = 0;
     for (const auto &blob : partial_blobs) {
-        PirPartialResponse p = deserializePartialResponse(ctx_, blob);
+        PirPartialResponse p =
+            n == 1 ? PirPartialResponse{0, 1,
+                                        deserializeResponse(ctx_, blob)
+                                            .planes}
+                   : deserializePartialResponse(ctx_, blob);
         if (p.numShards != n)
             throw SerializeError(strprintf(
                 "partial claims %u shards, deployment has %u",
@@ -292,8 +292,7 @@ ShardCoordinator::finishFold(
 
     PirResponse resp;
     if (n == 1) {
-        // Degenerate deployment: the single partial is already the
-        // complete answer; re-frame it as a Response blob.
+        // Degenerate deployment: nothing is left to fold.
         resp.planes = std::move(partials[0].planes);
     } else {
         // Final log2(n) tournament levels: the same folds, on the same
@@ -309,34 +308,19 @@ ShardCoordinator::finishFold(
                                 selectors);
 
         // planes (1-2) never fills the pool; run the loop serially so
-        // each foldTournament's internal parallelism engages instead.
+        // each colTor's internal parallelism engages instead.
         resp.planes.resize(params_.planes);
         for (u64 pl = 0; pl < static_cast<u64>(params_.planes); ++pl) {
             std::vector<BfvCiphertext> entries(n);
             for (u32 s = 0; s < n; ++s)
                 entries[s] = partials[s].planes[pl];
-            resp.planes[pl] = srv.foldTournament(std::move(entries),
-                                                 selectors, sel_offset);
+            resp.planes[pl] =
+                srv.colTor(std::move(entries), selectors, sel_offset);
         }
     }
     queries_.fetch_add(1, std::memory_order_relaxed);
     coordMetrics().queries.add(1);
     return serializeResponse(ctx_, resp);
-}
-
-std::vector<std::vector<u8>>
-ShardCoordinator::answerBatch(
-    const std::vector<std::vector<u8>> &query_blobs)
-{
-    // Validate every blob on the calling thread before any work.
-    for (const auto &blob : query_blobs)
-        (void)deserializeQuery(ctx_, blob);
-
-    std::vector<std::vector<u8>> responses(query_blobs.size());
-    parallelFor(0, query_blobs.size(), [&](u64 i) {
-        responses[i] = answerOne(query_blobs[i]);
-    });
-    return responses;
 }
 
 ShardCountersSummary

@@ -140,13 +140,10 @@ class ShardCoordinator
      */
     std::vector<u8> answer(std::span<const u8> query_blob);
 
-    /** Answers a batch of query blobs in parallel (thread pool). */
-    std::vector<std::vector<u8>>
-    answerBatch(const std::vector<std::vector<u8>> &query_blobs);
-
     /**
      * Finishes the fold over externally gathered PartialResponse
-     * blobs (e.g. from remote shard processes). Validates that the
+     * blobs (e.g. from remote shard processes; a one-slice deployment
+     * gathers its slice's Response blob). Validates that the
      * set is complete — every shard index exactly once, matching
      * shard count, matching plane counts — and throws SerializeError
      * on any mismatch.
@@ -159,7 +156,6 @@ class ShardCoordinator
     ShardCountersSummary summary() const;
 
   private:
-    std::vector<u8> answerOne(std::span<const u8> query_blob);
     std::vector<u8> finishFold(
         const PirQuery &query,
         const std::vector<std::vector<u8>> &partial_blobs);

@@ -1,15 +1,17 @@
 /**
  * @file
- * Live waiting-window dispatcher feeding the shard coordinator.
+ * Live waiting-window dispatcher: the serving queue in front of the
+ * engines.
  *
  * This is the system/batch_scheduler policy (paper SV, Fig. 14b) moved
  * from discrete-event simulation onto a real thread: a waiting window
  * opens when the first query of a batch arrives, and the batch is
  * dispatched when the window expires or maxBatch queries have queued,
- * whichever comes first. While the coordinator is busy the next window
+ * whichever comes first. While the engines are busy the next window
  * effectively closes at completion time, exactly like the simulator's
- * max(window_close, server_free). The same SchedulerConfig drives
- * both, so simulated load curves and live behavior stay comparable.
+ * max(window_close, server_free). The same SchedulerConfig (defined
+ * here, included by system/batch_scheduler.hh) drives both, so
+ * simulated load curves and live behavior stay comparable.
  *
  * Admission control (SchedulerConfig knobs, README "Robustness"):
  *
@@ -23,33 +25,25 @@
  *                    waits is dropped with ive::DeadlineExceeded at
  *                    dispatch time rather than served uselessly late.
  *
+ * Every query carries its own work thunk — answerQuery bound to a
+ * client's engine in the network front-end (src/net/), a coordinator's
+ * answer in tests and benches — and a completion callback:
+ * submit(blob, work, done). At dispatch time work(blob) computes the
+ * response inside its own error boundary, so one bad query cannot fail
+ * its batch-mates, and done(response, error) fires exactly once: on
+ * the dispatch thread for accepted work, on the submitting thread for
+ * immediate rejections, always outside the dispatcher lock
+ * (re-submitting from a callback is safe). Callbacks must not block —
+ * they run on the serving path. submitFuture() adapts this to a future
+ * for callers that can afford to block on get().
+ *
  * submit() is thread-safe and NEVER throws for serving-state reasons:
  * overload, deadline expiry and shutdown all surface as a typed
- * ive::Error on the returned future (Overloaded, DeadlineExceeded,
+ * ive::Error through the callback (Overloaded, DeadlineExceeded,
  * ShutdownError), so every submit observes exactly one outcome and a
- * submit racing shutdown can neither hang nor see a broken promise.
+ * submit racing shutdown can neither hang nor lose its callback.
  * Pipeline errors (e.g. SerializeError for a malformed blob,
  * ShardUnavailable from a dead slice) arrive the same way.
- *
- * Result delivery comes in two flavors:
- *
- *   future    submit(blob) — the original API; fine for tests and
- *             batch drivers that can afford to block on get().
- *   callback  submit(blob, done) / submit(blob, work, done) — for
- *             event-loop callers (the epoll front-end in src/net/)
- *             that must never block: done(response, error) fires
- *             exactly once, on the dispatch thread for accepted work
- *             or on the submitting thread for immediate rejections,
- *             always outside the dispatcher lock (re-submitting from
- *             a callback is safe). Callbacks must not block — they
- *             run on the serving path.
- *
- * The work-thunk variant also decouples the dispatcher from the
- * coordinator: a Pending carrying its own AnswerFn is executed
- * directly, which lets the session registry hand each query a
- * per-client engine while still sharing the window/admission
- * machinery. A dispatcher built with the coordinator-less constructor
- * accepts only that variant.
  */
 
 #ifndef IVE_SHARD_DISPATCHER_HH
@@ -61,18 +55,41 @@
 #include <future>
 #include <mutex>
 #include <thread>
+#include <vector>
 
 #include "common/annotations.hh"
-#include "shard/coordinator.hh"
-#include "system/batch_scheduler.hh"
+#include "common/types.hh"
 
 namespace ive {
+
+/** Waiting-window policy of the live dispatcher and the simulator. */
+struct SchedulerConfig
+{
+    double windowSec = 0.032;
+    int maxBatch = 64;
+
+    // Admission control (live ShardDispatcher only; the discrete-event
+    // simulator models an unbounded queue and ignores these).
+    /**
+     * Queue high-water mark: submits arriving while maxQueue queries
+     * already wait are shed with a typed ive::Overloaded instead of
+     * growing the queue without bound. 0 = unbounded (legacy).
+     */
+    int maxQueue = 0;
+    /**
+     * Per-query deadline in seconds, inherited through the waiting
+     * window: a query whose deadline passes before its batch
+     * dispatches is dropped with ive::DeadlineExceeded rather than
+     * served late. 0 = no deadline.
+     */
+    double queryDeadlineSec = 0.0;
+};
 
 /** Cumulative dispatcher tallies (under one lock with the queue). */
 struct DispatcherStats
 {
     u64 submitted = 0;  ///< Accepted into the queue.
-    u64 completed = 0;  ///< Futures resolved, success or error.
+    u64 completed = 0;  ///< Completions delivered, success or error.
     u64 batches = 0;
     u64 fullBatches = 0; ///< Dispatched because maxBatch was reached.
     u64 maxBatch = 0;    ///< Largest batch dispatched so far.
@@ -94,19 +111,7 @@ class ShardDispatcher
         std::function<void(std::vector<u8> response,
                            std::exception_ptr error)>;
 
-    /**
-     * Starts the dispatch thread. The coordinator must outlive the
-     * dispatcher and have its keys ingested before the first submit.
-     */
-    ShardDispatcher(ShardCoordinator &coordinator,
-                    const SchedulerConfig &cfg);
-
-    /**
-     * Coordinator-less dispatcher: only the work-thunk submit variant
-     * is accepted; blob-only submits are API misuse and throw
-     * std::logic_error. Used by the network front-end, where each
-     * query carries its own per-client engine thunk.
-     */
+    /** Starts the dispatch thread. */
     explicit ShardDispatcher(const SchedulerConfig &cfg);
 
     /** Flushes the queue, then joins the dispatch thread. */
@@ -116,7 +121,7 @@ class ShardDispatcher
      * Stops accepting work, flushes already-queued queries, and joins
      * the dispatch thread. Idempotent and safe to race with submit():
      * a submit that loses the race is rejected with ShutdownError, one
-     * that wins is flushed — either way its future resolves. The
+     * that wins is flushed — either way its callback fires. The
      * destructor calls this if it has not been called already.
      */
     void shutdown() IVE_EXCLUDES(mu_);
@@ -125,31 +130,11 @@ class ShardDispatcher
     ShardDispatcher &operator=(const ShardDispatcher &) = delete;
 
     /**
-     * Enqueues one query blob; the future yields its Response blob or
-     * a typed ive::Error (Overloaded when the queue is at its
-     * high-water mark, DeadlineExceeded when the waiting window
-     * consumed the query's deadline, ShutdownError when the dispatcher
-     * is stopping, or the coordinator's own failure).
-     */
-    std::future<std::vector<u8>> submit(std::vector<u8> query_blob)
-        IVE_EXCLUDES(mu_);
-
-    /**
-     * Callback flavor of the blob submit: same admission control and
-     * coordinator batch path, but the result is delivered through
-     * done(response, error) instead of a future. Requires a
-     * coordinator (throws std::logic_error otherwise).
-     */
-    void submit(std::vector<u8> query_blob, CompletionFn done)
-        IVE_EXCLUDES(mu_);
-
-    /**
-     * Work-thunk submit: the query rides the same waiting window and
-     * admission control, but at dispatch time work(blob) computes the
-     * response instead of the coordinator — one thunk per query, each
-     * wrapped in its own error boundary so one bad query cannot fail
-     * its batch-mates. The only variant a coordinator-less dispatcher
-     * accepts.
+     * Enqueues one query: it rides the waiting window and admission
+     * control, then work(blob) computes its response on the dispatch
+     * thread and done delivers it. Rejections (Overloaded at the
+     * high-water mark, ShutdownError when stopping) and window-expired
+     * deadlines (DeadlineExceeded) arrive through done as well.
      */
     void submit(std::vector<u8> query_blob, AnswerFn work,
                 CompletionFn done) IVE_EXCLUDES(mu_);
@@ -168,21 +153,12 @@ class ShardDispatcher
         u64 arrivalNs = 0;  ///< obs::nowNs() at submit, for telemetry.
         u64 deadlineNs = 0; ///< arrivalNs + queryDeadlineSec; 0 = none.
         std::vector<u8> blob;
-        AnswerFn work;     ///< Non-null: thunk path (skip coordinator).
-        CompletionFn done; ///< Non-null: callback delivery.
-        std::promise<std::vector<u8>> promise; ///< Else: future path.
+        AnswerFn work;
+        CompletionFn done;
     };
 
-    Pending makePending(std::vector<u8> blob) const;
-    /** Exactly-once delivery through whichever channel p carries. */
-    static void deliverValue(Pending &p, std::vector<u8> value);
-    static void deliverError(Pending &p, std::exception_ptr err);
-    /** Admission control + queue insert; delivers rejections outside
-     *  the lock (promise or callback, whichever p carries). */
-    void enqueue(Pending p) IVE_EXCLUDES(mu_);
     void runLoop() IVE_EXCLUDES(mu_);
 
-    ShardCoordinator *coordinator_; ///< Null in coordinator-less mode.
     SchedulerConfig cfg_;
 
     mutable Mutex mu_;
@@ -195,6 +171,15 @@ class ShardDispatcher
     std::once_flag shutdownOnce_; ///< One joiner, even when racing.
     std::thread worker_;
 };
+
+/**
+ * Future adapter over ShardDispatcher::submit for tests and batch
+ * drivers: the future yields the response blob or rethrows the typed
+ * ive::Error the callback would have carried.
+ */
+std::future<std::vector<u8>>
+submitFuture(ShardDispatcher &dispatcher, std::vector<u8> query_blob,
+             ShardDispatcher::AnswerFn work);
 
 } // namespace ive
 

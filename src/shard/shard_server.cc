@@ -39,12 +39,6 @@ maybeInjectShardFault(u32 shard)
 
 } // namespace
 
-ShardServer::ShardServer(std::span<const u8> params_blob, u32 shard,
-                         u32 num_shards)
-    : session_(params_blob, shard, num_shards)
-{
-}
-
 ShardServer::ShardServer(const PirParams &params, u32 shard,
                          u32 num_shards)
     : session_(params, shard, num_shards)
@@ -58,10 +52,10 @@ ShardServer::ingestKeys(std::span<const u8> key_blob)
 }
 
 std::vector<u8>
-ShardServer::answerPartial(std::span<const u8> query_blob)
+ShardServer::answer(std::span<const u8> query_blob)
 {
     maybeInjectShardFault(shard());
-    std::vector<u8> partial = session_.answerPartial(query_blob);
+    std::vector<u8> partial = session_.answer(query_blob);
     requestBytes_.fetch_add(query_blob.size(),
                             std::memory_order_relaxed);
     responseBytes_.fetch_add(partial.size(), std::memory_order_relaxed);

@@ -2,11 +2,13 @@
  * @file
  * One shard of a record-sliced PIR deployment (paper SV).
  *
- * A ShardServer wraps the ServerSession for its record slice behind the
- * same bytes-only boundary a remote process would present: queries come
- * in as wire blobs, PartialResponse blobs go out, and the wrapper keeps
- * its own traffic counters (queries seen, request/response bytes) on
- * top of the session's pipeline op counters. The ShardCoordinator
+ * A ShardServer wraps the shard ServerSession for its record slice
+ * behind the same bytes-only boundary a remote process would present:
+ * queries come in as wire blobs and go through the session's answer()
+ * (pir/session.hh answerQuery), PartialResponse blobs go out, and the
+ * wrapper adds the shard.answer.* failpoints and its own traffic
+ * counters (queries seen, request/response bytes) on top of the
+ * session's pipeline op counters. The ShardCoordinator
  * (shard/coordinator.hh) owns one ShardServer per slice and finishes
  * the tournament fold over their partials.
  */
@@ -29,8 +31,6 @@ struct ShardTraffic
 class ShardServer
 {
   public:
-    ShardServer(std::span<const u8> params_blob, u32 shard,
-                u32 num_shards);
     ShardServer(const PirParams &params, u32 shard, u32 num_shards);
 
     u32 shard() const { return session_.shard(); }
@@ -47,7 +47,7 @@ class ShardServer
      * Answers one query blob with this shard's PartialResponse blob
      * (slice-local RowSel + ColTor partial, every plane).
      */
-    std::vector<u8> answerPartial(std::span<const u8> query_blob);
+    std::vector<u8> answer(std::span<const u8> query_blob);
 
     /** Pipeline op totals of the slice's server (keys required). */
     ServerCountersSnapshot opCounters() const;
@@ -57,7 +57,7 @@ class ShardServer
 
   private:
     ServerSession session_;
-    // Relaxed atomics (concurrent answerPartial calls), no capability
+    // Relaxed atomics (concurrent answer calls), no capability
     // needed; see common/annotations.hh for the annotation policy.
     std::atomic<u64> requestBytes_{0};
     std::atomic<u64> responseBytes_{0};

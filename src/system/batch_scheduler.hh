@@ -7,7 +7,8 @@
  * window when the first query of a batch arrives and dispatches when
  * the window expires or the batch is full; the window is sized from
  * the RowSel DB-access time, bounding the batching latency overhead to
- * about 2x while preserving the throughput gains.
+ * about 2x while preserving the throughput gains. The SchedulerConfig
+ * it simulates is the live dispatcher's (shard/dispatcher.hh).
  */
 
 #ifndef IVE_SYSTEM_BATCH_SCHEDULER_HH
@@ -16,31 +17,9 @@
 #include <functional>
 #include <vector>
 
-#include "common/types.hh"
+#include "shard/dispatcher.hh"
 
 namespace ive {
-
-struct SchedulerConfig
-{
-    double windowSec = 0.032;
-    int maxBatch = 64;
-
-    // Admission control (live ShardDispatcher only; the discrete-event
-    // simulator models an unbounded queue and ignores these).
-    /**
-     * Queue high-water mark: submits arriving while maxQueue queries
-     * already wait are shed with a typed ive::Overloaded instead of
-     * growing the queue without bound. 0 = unbounded (legacy).
-     */
-    int maxQueue = 0;
-    /**
-     * Per-query deadline in seconds, inherited through the waiting
-     * window: a query whose deadline passes before its batch
-     * dispatches is dropped with ive::DeadlineExceeded rather than
-     * served late. 0 = no deadline.
-     */
-    double queryDeadlineSec = 0.0;
-};
 
 /** Service latency for a batch of the given size (from the simulator). */
 using ServiceModel = std::function<double(int batch_size)>;

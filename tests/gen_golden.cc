@@ -40,7 +40,7 @@ main()
         return golden::entryContent(params, entry, plane);
     });
     shard0.ingestKeys(key_blob);
-    std::vector<u8> partial_blob = shard0.answerPartial(query_blob);
+    std::vector<u8> partial_blob = shard0.answer(query_blob);
 
     bool ok = golden::writeBlob("golden_params.bin", params_blob) &&
               golden::writeBlob("golden_query.bin", query_blob) &&

@@ -19,7 +19,7 @@
  *     its future with a value or a typed error (satellite: no broken
  *     promise, no hang).
  *
- * The TSan CI stage (scripts/ci.sh --tsan, -L thread) runs this suite
+ * The TSan CI stage (scripts/ci.sh, -L thread) runs this suite
  * instrumented; the --faults stage re-runs it under an env-armed
  * IVE_FAILPOINTS recipe.
  */
@@ -35,6 +35,7 @@
 #include "common/failpoint.hh"
 #include "common/thread_pool.hh"
 #include "obs/metrics.hh"
+#include "shard/coordinator.hh"
 #include "shard/dispatcher.hh"
 
 using namespace ive;
@@ -93,6 +94,15 @@ makeCoordinator(Reference &ref, u32 num_shards,
     coord->fillDatabase(contentGenerator(ref.client.params()));
     coord->ingestKeys(ref.client.keyBlob());
     return coord;
+}
+
+/** Dispatcher work thunk answering through the coordinator. */
+ShardDispatcher::AnswerFn
+viaCoordinator(ShardCoordinator &coord)
+{
+    return [&coord](const std::vector<u8> &blob) {
+        return coord.answer(blob);
+    };
 }
 
 /** Every fault test starts and ends with a disarmed process, so
@@ -427,13 +437,13 @@ TEST_F(FaultShard, HangSelfReleasesAtItsCap)
     Reference ref(params);
     auto coord = makeCoordinator(ref, 2);
     std::vector<u8> query = ref.client.queryBlob(11);
-    std::vector<u8> clean = coord->shard(0).answerPartial(query);
+    std::vector<u8> clean = coord->shard(0).answer(query);
 
     // The hang cap bounds the stall even when nobody disarms: the
     // call completes normally afterwards, bytes unchanged.
     fail::point("shard.answer.hang")
         .arm(fail::Trigger::nth(1).withArg(100));
-    EXPECT_EQ(coord->shard(0).answerPartial(query), clean);
+    EXPECT_EQ(coord->shard(0).answer(query), clean);
     EXPECT_EQ(fail::point("shard.answer.hang").fires(), 1u);
 }
 
@@ -443,14 +453,14 @@ TEST_F(FaultShard, DisarmUnblocksAHungShard)
     Reference ref(params);
     auto coord = makeCoordinator(ref, 2);
     std::vector<u8> query = ref.client.queryBlob(2);
-    std::vector<u8> clean = coord->shard(1).answerPartial(query);
+    std::vector<u8> clean = coord->shard(1).answer(query);
 
     fail::point("shard.answer.hang")
         .arm(fail::Trigger::nth(1).withArg(5000).withScope(1));
     auto t0 = std::chrono::steady_clock::now();
     std::vector<u8> hung;
     std::thread caller(
-        [&] { hung = coord->shard(1).answerPartial(query); });
+        [&] { hung = coord->shard(1).answer(query); });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     fail::disarmAll(); // Wakes blockWhileArmed long before the cap.
     caller.join();
@@ -497,9 +507,10 @@ TEST_F(FaultDispatch, BoundedQueueShedsABurstWithoutBlocking)
 
     std::vector<std::future<std::vector<u8>>> futures;
     {
-        ShardDispatcher dispatcher(*coord, cfg);
+        ShardDispatcher dispatcher(cfg);
         for (int i = 0; i < kBurst; ++i)
-            futures.push_back(dispatcher.submit(query));
+            futures.push_back(
+                submitFuture(dispatcher, query, viaCoordinator(*coord)));
 
         // Shed futures are ready immediately — a burst never blocks
         // the submitter, and the shed count is exact.
@@ -539,11 +550,11 @@ TEST_F(FaultDispatch, RejectFailpointShedsAtAdmission)
     SchedulerConfig cfg;
     cfg.windowSec = 0.001;
     cfg.maxBatch = 4;
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
 
     fail::armFromSpec("dispatch.queue.reject=nth:1");
-    auto shed = dispatcher.submit(query);
-    auto ok = dispatcher.submit(query);
+    auto shed = submitFuture(dispatcher, query, viaCoordinator(*coord));
+    auto ok = submitFuture(dispatcher, query, viaCoordinator(*coord));
     EXPECT_THROW((void)shed.get(), Overloaded);
     EXPECT_EQ(ok.get(), ref.server.answer(query));
     EXPECT_EQ(dispatcher.stats().shed, 1u);
@@ -559,9 +570,10 @@ TEST_F(FaultDispatch, WindowWaitConsumesTheQueryDeadline)
     cfg.windowSec = 0.1;  // The window outlives the deadline, so the
     cfg.maxBatch = 64;    // query expires while it waits (the batch
     cfg.queryDeadlineSec = 0.005; // can never fill to dispatch early).
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
 
-    auto fut = dispatcher.submit(ref.client.queryBlob(0));
+    auto fut = submitFuture(dispatcher, ref.client.queryBlob(0),
+                            viaCoordinator(*coord));
     EXPECT_THROW((void)fut.get(), DeadlineExceeded);
     dispatcher.drain();
     DispatcherStats st = dispatcher.stats();
@@ -581,11 +593,12 @@ TEST_F(FaultDispatch, SubmitAfterShutdownRejectsWithATypedError)
     SchedulerConfig cfg;
     cfg.windowSec = 0.001;
     cfg.maxBatch = 4;
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
     dispatcher.shutdown();
     dispatcher.shutdown(); // Idempotent.
 
-    auto fut = dispatcher.submit(ref.client.queryBlob(0));
+    auto fut = submitFuture(dispatcher, ref.client.queryBlob(0),
+                            viaCoordinator(*coord));
     ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
               std::future_status::ready); // Rejected, not queued.
     EXPECT_THROW((void)fut.get(), ShutdownError);
@@ -605,12 +618,12 @@ TEST_F(FaultDispatch, SubmitRacingShutdownAlwaysResolvesTyped)
     SchedulerConfig cfg;
     cfg.windowSec = 0.0005;
     cfg.maxBatch = 4;
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 50;
     // Malformed blobs keep the race cheap: accepted entries resolve
-    // with SerializeError from batch validation, no crypto involved.
+    // with SerializeError from query parsing, no crypto involved.
     const std::vector<u8> blob(16, 0xA5);
     std::vector<std::future<std::vector<u8>>> futures(
         static_cast<size_t>(kThreads) * kPerThread);
@@ -620,7 +633,8 @@ TEST_F(FaultDispatch, SubmitRacingShutdownAlwaysResolvesTyped)
             for (int i = 0; i < kPerThread; ++i)
                 futures[static_cast<size_t>(t) * kPerThread +
                         static_cast<size_t>(i)] =
-                    dispatcher.submit(blob);
+                    submitFuture(dispatcher, blob,
+                                 viaCoordinator(*coord));
         });
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(2));

@@ -123,7 +123,7 @@ TEST(Golden, ShardReproducesCommittedPartialResponse)
     shard0.ingestKeys(f.key_blob);
     for (int threads : {1, 8}) {
         ThreadPool::setGlobalThreads(threads);
-        EXPECT_EQ(shard0.answerPartial(f.query_blob), want)
+        EXPECT_EQ(shard0.answer(f.query_blob), want)
             << threads << " threads";
     }
     ThreadPool::setGlobalThreads(1);

@@ -27,6 +27,7 @@
 #include "common/failpoint.hh"
 #include "net/client.hh"
 #include "net/server.hh"
+#include "obs/metrics.hh"
 #include "pir/session.hh"
 
 using namespace ive;
@@ -487,19 +488,6 @@ TEST(DispatcherCallbacks, ThunkErrorArrivesAsExceptionPtr)
     EXPECT_THROW(std::rethrow_exception(err), SerializeError);
 }
 
-TEST(DispatcherCallbacks, BlobOnlySubmitNeedsACoordinator)
-{
-    SchedulerConfig cfg;
-    cfg.windowSec = 0.0;
-    ShardDispatcher d(cfg);
-    EXPECT_THROW((void)d.submit(std::vector<u8>{1}),
-                 std::logic_error);
-    EXPECT_THROW(
-        d.submit(std::vector<u8>{1},
-                 [](std::vector<u8>, std::exception_ptr) {}),
-        std::logic_error);
-}
-
 TEST(DispatcherCallbacks, ShutdownRejectsViaCallbackNotThrow)
 {
     SchedulerConfig cfg;
@@ -551,6 +539,42 @@ TEST(NetServer, EndToEndByteIdentity)
     EXPECT_EQ(st.errorFrames, 0u);
     EXPECT_GT(st.framesIn, f.params.numEntries());
     EXPECT_EQ(f.server->registry().stats().registered, 1u);
+}
+
+TEST(NetServer, SocketQueryRecordsSessionTelemetry)
+{
+    // A socket query runs the same answer path as an in-process
+    // session, so it lands in the same registry families: one query,
+    // its blob bytes in and out, one answer and one serialize sample.
+    NetFixture f;
+    ClientSession cl(f.params, 7);
+    PirTcpClient tcp = f.connect();
+    u64 gen = tcp.registerKeys(7, cl.paramsBlob(), cl.keyBlob());
+    std::vector<u8> qblob = cl.queryBlob(5);
+
+    namespace n = obs::names;
+    obs::Registry &r = obs::Registry::global();
+    obs::Counter &queries = r.counter(n::kSessionQueries);
+    obs::Counter &req_bytes = r.counter(n::kSessionRequestBytes);
+    obs::Counter &resp_bytes = r.counter(n::kSessionResponseBytes);
+    obs::Histogram &answer = r.histogram(n::kStageAnswer);
+    obs::Histogram &serialize = r.histogram(n::kStageSerialize);
+    const u64 q0 = queries.value();
+    const u64 req0 = req_bytes.value();
+    const u64 resp0 = resp_bytes.value();
+    const u64 ans0 = answer.snapshot().count;
+    const u64 ser0 = serialize.snapshot().count;
+
+    // The engine records before the thunk returns, and the response
+    // leaves the server only after that, so reading it orders both.
+    std::vector<u8> got = tcp.query(7, gen, qblob);
+    EXPECT_EQ(cl.decodeResponse(got)[0], dbContent(f.params, 5, 0));
+
+    EXPECT_EQ(queries.value() - q0, 1u);
+    EXPECT_EQ(req_bytes.value() - req0, qblob.size());
+    EXPECT_EQ(resp_bytes.value() - resp0, got.size());
+    EXPECT_EQ(answer.snapshot().count - ans0, 1u);
+    EXPECT_EQ(serialize.snapshot().count - ser0, 1u);
 }
 
 TEST(NetServer, TwoClientsInterleaved)

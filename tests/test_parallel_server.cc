@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
-#include "pir/batch.hh"
 #include "pir/server.hh"
 
 using namespace ive;
@@ -50,6 +49,23 @@ ctEqual(const BfvCiphertext &x, const BfvCiphertext &y)
     return x.a == y.a && x.b == y.b;
 }
 
+/** One single-plane answer: the whole pipeline on one query. */
+BfvCiphertext
+answerOne(const PirServer &server, const PirQuery &q)
+{
+    return server.processAllPlanes(q)[0];
+}
+
+/** A batch is parallelFor over independent queries. */
+std::vector<BfvCiphertext>
+answerAll(const PirServer &server, const std::vector<PirQuery> &queries)
+{
+    std::vector<BfvCiphertext> out(queries.size());
+    parallelFor(0, queries.size(),
+                [&](u64 i) { out[i] = answerOne(server, queries[i]); });
+    return out;
+}
+
 } // namespace
 
 TEST(ParallelServer, BatchResponsesIdenticalAtOneAndEightThreads)
@@ -63,9 +79,9 @@ TEST(ParallelServer, BatchResponsesIdenticalAtOneAndEightThreads)
         queries.push_back(f.client.makeQuery(t));
 
     ThreadPool::setGlobalThreads(1);
-    auto seq = processBatch(f.server, queries);
+    auto seq = answerAll(f.server, queries);
     ThreadPool::setGlobalThreads(8);
-    auto par = processBatch(f.server, queries);
+    auto par = answerAll(f.server, queries);
     ThreadPool::setGlobalThreads(1);
 
     ASSERT_EQ(seq.size(), queries.size());
@@ -88,10 +104,10 @@ TEST(ParallelServer, SingleQueryPipelineIdenticalAcrossThreadCounts)
     // Odd counts exercise unbalanced chunk boundaries and partial-lane
     // dispatch; powers of two exercise the balanced fast cases.
     ThreadPool::setGlobalThreads(1);
-    BfvCiphertext base = f.server.process(q);
+    BfvCiphertext base = answerOne(f.server, q);
     for (int threads : {2, 3, 4, 5, 7, 8}) {
         ThreadPool::setGlobalThreads(threads);
-        BfvCiphertext resp = f.server.process(q);
+        BfvCiphertext resp = answerOne(f.server, q);
         EXPECT_TRUE(ctEqual(base, resp)) << threads << " threads";
     }
     ThreadPool::setGlobalThreads(1);
@@ -109,10 +125,10 @@ TEST(ParallelServer, SegmentedRowSelIdenticalWhenColumnsUnderfillPool)
     PirQuery q = f.client.makeQuery(40);
 
     ThreadPool::setGlobalThreads(1);
-    BfvCiphertext base = f.server.process(q);
+    BfvCiphertext base = answerOne(f.server, q);
     for (int threads : {3, 8}) {
         ThreadPool::setGlobalThreads(threads);
-        BfvCiphertext resp = f.server.process(q);
+        BfvCiphertext resp = answerOne(f.server, q);
         EXPECT_TRUE(ctEqual(base, resp)) << threads << " threads";
     }
     ThreadPool::setGlobalThreads(1);
@@ -127,7 +143,9 @@ TEST(ParallelServer, ExpandAndSelectMatchesSeparatePhases)
 
     for (int threads : {1, 8}) {
         ThreadPool::setGlobalThreads(threads);
-        std::vector<BfvCiphertext> leaves = f.server.expandQuery(q);
+        std::vector<RgswCiphertext> none;
+        std::vector<BfvCiphertext> leaves =
+            f.server.expandAndSelect(q, 0, 0, none);
         std::vector<RgswCiphertext> separate =
             f.server.buildSelectors(leaves, 0, params.d);
 
@@ -164,14 +182,14 @@ TEST(ParallelServer, StressConcurrentHostsHitSegmentedMerge)
     PirQuery q = f.client.makeQuery(12);
 
     ThreadPool::setGlobalThreads(4);
-    BfvCiphertext base = f.server.process(q);
+    BfvCiphertext base = answerOne(f.server, q);
 
     std::vector<BfvCiphertext> results(4);
     std::vector<std::thread> hosts;
     for (size_t t = 0; t < results.size(); ++t) {
         hosts.emplace_back([&, t] {
             for (int rep = 0; rep < 3; ++rep)
-                results[t] = f.server.process(q);
+                results[t] = answerOne(f.server, q);
         });
     }
     for (auto &t : hosts)
@@ -208,14 +226,14 @@ TEST(ParallelServer, CountersStayExactUnderParallelism)
 
     ThreadPool::setGlobalThreads(1);
     f.server.resetCounters();
-    (void)f.server.process(q);
+    (void)answerOne(f.server, q);
     u64 subs = f.server.counters().subsOps;
     u64 ext = f.server.counters().externalProducts;
     u64 macs = f.server.counters().plainMulAccs;
 
     ThreadPool::setGlobalThreads(8);
     f.server.resetCounters();
-    (void)f.server.process(q);
+    (void)answerOne(f.server, q);
     EXPECT_EQ(f.server.counters().subsOps, subs);
     EXPECT_EQ(f.server.counters().externalProducts, ext);
     EXPECT_EQ(f.server.counters().plainMulAccs, macs);

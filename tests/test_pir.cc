@@ -6,7 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bfv/noise.hh"
-#include "pir/batch.hh"
+#include "common/thread_pool.hh"
 #include "pir/server.hh"
 
 using namespace ive;
@@ -38,6 +38,13 @@ struct PirFixture
     PirServer server;
 };
 
+/** One single-plane answer: the whole pipeline on one query. */
+BfvCiphertext
+answerOne(const PirServer &server, const PirQuery &q)
+{
+    return server.processAllPlanes(q)[0];
+}
+
 } // namespace
 
 class PirSweep
@@ -54,7 +61,7 @@ TEST_P(PirSweep, RetrievesCorrectEntry)
     Rng trng(target_seed);
     u64 target = trng.uniform(params.numEntries());
     PirQuery q = f.client.makeQuery(target);
-    BfvCiphertext resp = f.server.process(q);
+    BfvCiphertext resp = answerOne(f.server, q);
     EXPECT_EQ(f.client.decode(resp), f.db.entryCoeffs(target));
 }
 
@@ -74,7 +81,7 @@ TEST(Pir, AllEntriesOfSmallDatabase)
     PirFixture f(params, 42);
     for (u64 target = 0; target < params.numEntries(); ++target) {
         PirQuery q = f.client.makeQuery(target);
-        BfvCiphertext resp = f.server.process(q);
+        BfvCiphertext resp = answerOne(f.server, q);
         EXPECT_EQ(f.client.decode(resp), f.db.entryCoeffs(target))
             << "target " << target;
     }
@@ -86,7 +93,8 @@ TEST(Pir, ExpandedLeavesAreOneHot)
     PirFixture f(params, 7);
     u64 target = 13; // i* = 13, k* = 0
     PirQuery q = f.client.makeQuery(target);
-    auto leaves = f.server.expandQuery(q);
+    std::vector<RgswCiphertext> none;
+    auto leaves = f.server.expandAndSelect(q, 0, 0, none);
     ASSERT_EQ(leaves.size(), params.usedLeaves());
     // The first D0 leaves encrypt Delta-scaled one-hot values.
     for (u64 i = 0; i < params.d0; ++i) {
@@ -119,7 +127,7 @@ TEST(Pir, ResponseNoiseWithinBudget)
     PirFixture f(params, 11);
     u64 target = 29;
     PirQuery q = f.client.makeQuery(target);
-    BfvCiphertext resp = f.server.process(q);
+    BfvCiphertext resp = answerOne(f.server, q);
     auto want = f.db.entryCoeffs(target);
     NoiseReport rep = f.client.responseNoise(resp, want);
     EXPECT_GT(rep.budgetBits, 2.0);
@@ -136,7 +144,7 @@ TEST(Pir, ErrorGrowsAdditivelyInD)
         u64 target = (u64{1} << d) * 3 + 5; // arbitrary valid entry
         target %= params.numEntries();
         PirQuery q = f.client.makeQuery(target);
-        BfvCiphertext resp = f.server.process(q);
+        BfvCiphertext resp = answerOne(f.server, q);
         auto want = f.db.entryCoeffs(target);
         double noise = f.client.responseNoise(resp, want).noiseBits;
         if (prev > 0.0) {
@@ -154,7 +162,11 @@ TEST(Pir, BatchProcessingMatchesIndividual)
     std::vector<u64> targets = {0, 5, 31, 17};
     for (u64 t : targets)
         queries.push_back(f.client.makeQuery(t));
-    auto responses = processBatch(f.server, queries);
+    // A batch is parallelFor over independent queries on one server.
+    std::vector<BfvCiphertext> responses(queries.size());
+    parallelFor(0, queries.size(), [&](u64 i) {
+        responses[i] = answerOne(f.server, queries[i]);
+    });
     ASSERT_EQ(responses.size(), targets.size());
     for (size_t i = 0; i < targets.size(); ++i) {
         EXPECT_EQ(f.client.decode(responses[i]),
@@ -175,8 +187,8 @@ TEST(Pir, TwoClientsWithDistinctKeys)
     PirServer srvA(ctx, params, &db, alice.genPublicKeys());
     PirServer srvB(ctx, params, &db, bob.genPublicKeys());
 
-    auto respA = srvA.process(alice.makeQuery(3));
-    auto respB = srvB.process(bob.makeQuery(30));
+    auto respA = answerOne(srvA, alice.makeQuery(3));
+    auto respB = answerOne(srvB, bob.makeQuery(30));
     EXPECT_EQ(alice.decode(respA), db.entryCoeffs(3));
     EXPECT_EQ(bob.decode(respB), db.entryCoeffs(30));
     // Cross-decoding must NOT work (different secret keys).

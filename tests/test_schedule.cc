@@ -116,8 +116,8 @@ TEST(Schedule, ColTorScheduleOrderInvariance)
 
     u64 target = 37;
     PirQuery q = client.makeQuery(target);
-    auto leaves = server.expandQuery(q);
-    auto selectors = server.buildSelectors(leaves);
+    std::vector<RgswCiphertext> selectors;
+    auto leaves = server.expandAndSelect(q, 0, params.d, selectors);
     auto entries = server.rowSel(leaves);
 
     std::vector<std::vector<TreeOp>> orders;

@@ -49,6 +49,17 @@ fillDatabase(ServerSession &server)
     });
 }
 
+/** A batch is parallelFor over answer(): queries are independent. */
+std::vector<std::vector<u8>>
+answerAll(const ServerSession &server,
+          const std::vector<std::vector<u8>> &queries)
+{
+    std::vector<std::vector<u8>> out(queries.size());
+    parallelFor(0, queries.size(),
+                [&](u64 i) { out[i] = server.answer(queries[i]); });
+    return out;
+}
+
 } // namespace
 
 TEST(Session, SinglePlaneBytesOnlyRetrieval)
@@ -107,23 +118,6 @@ TEST(Session, AllPlanesRetrievalThroughBlobs)
             << "plane " << plane;
 }
 
-TEST(Session, AnswerPlaneSelectsOnePlane)
-{
-    PirParams params = smallParams(8, 2, /*planes=*/2);
-    ClientSession client(params, 15);
-    ServerSession server(client.paramsBlob());
-    fillDatabase(server);
-    server.ingestKeys(client.keyBlob());
-    std::vector<u8> query = client.queryBlob(7);
-
-    for (int plane = 0; plane < 2; ++plane) {
-        std::vector<u8> blob = server.answerPlane(query, plane);
-        PirResponse resp =
-            deserializeResponse(server.context(), blob);
-        ASSERT_EQ(resp.planes.size(), 1u);
-    }
-}
-
 TEST(Session, BatchedQueriesByteIdenticalAcrossThreadCounts)
 {
     PirParams params = smallParams(8, 3, /*planes=*/2);
@@ -138,9 +132,9 @@ TEST(Session, BatchedQueriesByteIdenticalAcrossThreadCounts)
         queries.push_back(client.queryBlob(t));
 
     ThreadPool::setGlobalThreads(1);
-    auto seq = server.answerBatch(queries);
+    auto seq = answerAll(server, queries);
     ThreadPool::setGlobalThreads(8);
-    auto par = server.answerBatch(queries);
+    auto par = answerAll(server, queries);
     ThreadPool::setGlobalThreads(1);
 
     ASSERT_EQ(seq.size(), targets.size());
@@ -180,9 +174,11 @@ TEST(Session, MalformedQueryBlobIsRejectedNotAnswered)
     EXPECT_THROW((void)server.answer(truncated), SerializeError);
     std::vector<u8> garbage(64, 0xA5);
     EXPECT_THROW((void)server.answer(garbage), SerializeError);
-    // Batch ingestion rejects the malformed blob up front, too.
-    EXPECT_THROW((void)server.answerBatch({query, truncated}),
+    // A batch fan-out surfaces the malformed blob's typed error, too.
+    ThreadPool::setGlobalThreads(4);
+    EXPECT_THROW((void)answerAll(server, {query, truncated}),
                  SerializeError);
+    ThreadPool::setGlobalThreads(1);
 }
 
 TEST(Session, KeyBlobFromShallowerClientIsRejected)

@@ -17,6 +17,7 @@
 #include <thread>
 
 #include "common/thread_pool.hh"
+#include "shard/coordinator.hh"
 #include "shard/dispatcher.hh"
 
 using namespace ive;
@@ -75,6 +76,15 @@ makeCoordinator(Reference &ref, u32 num_shards)
     coord->fillDatabase(contentGenerator(ref.client.params()));
     coord->ingestKeys(ref.client.keyBlob());
     return coord;
+}
+
+/** Dispatcher work thunk answering through the coordinator. */
+ShardDispatcher::AnswerFn
+viaCoordinator(ShardCoordinator &coord)
+{
+    return [&coord](const std::vector<u8> &blob) {
+        return coord.answer(blob);
+    };
 }
 
 } // namespace
@@ -182,17 +192,28 @@ TEST(Shard, RejectsBadTopology)
     EXPECT_NO_THROW(ServerSession(params, 3, 4));
 }
 
-TEST(Shard, ShardSessionRefusesMonolithicAnswer)
+TEST(Shard, ShardSessionAnswersWithItsPartialResponse)
 {
-    PirParams params = smallParams(8, 2);
+    PirParams params = smallParams(8, 2, /*planes=*/2); // 4 columns
     Reference ref(params);
-    ServerSession shard(params, 0, 2);
-    shard.database().fill(contentGenerator(params));
-    shard.ingestKeys(ref.client.keyBlob());
     std::vector<u8> query = ref.client.queryBlob(3);
-    EXPECT_THROW((void)shard.answer(query), std::logic_error);
-    EXPECT_THROW((void)shard.answerBatch({query}), std::logic_error);
-    EXPECT_NO_THROW((void)shard.answerPartial(query));
+    auto coord = makeCoordinator(ref, 2);
+
+    // A shard session's answer() is its slice's PartialResponse: the
+    // shard index and count come from the slice position, the planes
+    // are the slice-local partials the coordinator folds.
+    for (u32 s = 0; s < 2; ++s) {
+        ServerSession shard(params, s, 2);
+        shard.database().fill(contentGenerator(params));
+        shard.ingestKeys(ref.client.keyBlob());
+        std::vector<u8> blob = shard.answer(query);
+        PirPartialResponse p =
+            deserializePartialResponse(shard.context(), blob);
+        EXPECT_EQ(p.shard, s);
+        EXPECT_EQ(p.numShards, 2u);
+        EXPECT_EQ(p.planes.size(), 2u);
+        EXPECT_EQ(blob, coord->shard(s).answer(query)) << "shard " << s;
+    }
 }
 
 // ------------------------------------------------- coordinator identity
@@ -245,10 +266,18 @@ TEST(Shard, BatchByteIdenticalAcrossThreadCounts)
         queries.push_back(ref.client.queryBlob(t));
 
     auto coord = makeCoordinator(ref, 4);
+    // A batch is parallelFor over answer(); the coordinator's own
+    // shard fan-out nests inside it.
+    auto answerAll = [&] {
+        std::vector<std::vector<u8>> out(queries.size());
+        parallelFor(0, queries.size(),
+                    [&](u64 i) { out[i] = coord->answer(queries[i]); });
+        return out;
+    };
     ThreadPool::setGlobalThreads(1);
-    auto seq = coord->answerBatch(queries);
+    auto seq = answerAll();
     ThreadPool::setGlobalThreads(8);
-    auto par = coord->answerBatch(queries);
+    auto par = answerAll();
     ThreadPool::setGlobalThreads(1);
 
     ASSERT_EQ(seq.size(), queries.size());
@@ -269,7 +298,7 @@ TEST(Shard, FoldPartialsRejectsHostileSets)
 
     std::vector<std::vector<u8>> partials;
     for (u32 s = 0; s < 4; ++s)
-        partials.push_back(coord->shard(s).answerPartial(query));
+        partials.push_back(coord->shard(s).answer(query));
 
     // The complete, honest set folds to the single-server answer.
     EXPECT_EQ(coord->foldPartials(query, partials),
@@ -290,7 +319,7 @@ TEST(Shard, FoldPartialsRejectsHostileSets)
     // Partial from a different deployment width.
     auto two = makeCoordinator(ref, 2);
     auto wrong_width = partials;
-    wrong_width[0] = two->shard(0).answerPartial(query);
+    wrong_width[0] = two->shard(0).answer(query);
     EXPECT_THROW((void)coord->foldPartials(query, wrong_width),
                  SerializeError);
 
@@ -311,8 +340,7 @@ TEST(Shard, FoldPartialsRejectsHostileSets)
     big_coord.fillDatabase(contentGenerator(big));
     big_coord.ingestKeys(big_ref.client.keyBlob());
     auto alien = partials;
-    alien[1] = big_coord.shard(1).answerPartial(
-        big_ref.client.queryBlob(9));
+    alien[1] = big_coord.shard(1).answer(big_ref.client.queryBlob(9));
     EXPECT_THROW((void)coord->foldPartials(query, alien),
                  SerializeError);
 }
@@ -378,7 +406,7 @@ TEST(Shard, SummaryAggregatesAcrossShardsCumulatively)
     EXPECT_EQ(s.broadcastBytes,
               kShards * (q1.size() + q2.size()));
     std::vector<u8> partial =
-        coord->shard(0).answerPartial(q1); // same size every shard
+        coord->shard(0).answer(q1); // same size every shard
     EXPECT_EQ(s.gatherBytes, 2 * kShards * partial.size());
 
     // Per-shard traffic counters are cumulative too.
@@ -399,12 +427,13 @@ TEST(Dispatcher, FullBatchesDispatchWithoutWaitingForTheWindow)
     SchedulerConfig cfg;
     cfg.windowSec = 30.0; // Never expires inside the test.
     cfg.maxBatch = 2;
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
 
     std::vector<u64> targets{1, 9, 17, 25};
     std::vector<std::future<std::vector<u8>>> futures;
     for (u64 t : targets)
-        futures.push_back(dispatcher.submit(ref.client.queryBlob(t)));
+        futures.push_back(submitFuture(dispatcher, ref.client.queryBlob(t),
+                                       viaCoordinator(*coord)));
     for (size_t i = 0; i < targets.size(); ++i) {
         auto planes =
             ref.client.decodeResponse(futures[i].get());
@@ -431,10 +460,12 @@ TEST(Dispatcher, WindowExpiryDispatchesAPartialBatch)
     SchedulerConfig cfg;
     cfg.windowSec = 0.02;
     cfg.maxBatch = 64; // Never fills; only the window can dispatch.
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
 
-    auto f0 = dispatcher.submit(ref.client.queryBlob(5));
-    auto f1 = dispatcher.submit(ref.client.queryBlob(6));
+    auto f0 = submitFuture(dispatcher, ref.client.queryBlob(5),
+                           viaCoordinator(*coord));
+    auto f1 = submitFuture(dispatcher, ref.client.queryBlob(6),
+                           viaCoordinator(*coord));
     EXPECT_EQ(ref.client.decodeResponse(f0.get())[0],
               dbContent(params, 5, 0));
     EXPECT_EQ(ref.client.decodeResponse(f1.get())[0],
@@ -463,10 +494,11 @@ TEST(Dispatcher, ResponsesMatchDirectCoordinatorAnswers)
     SchedulerConfig cfg;
     cfg.windowSec = 0.005;
     cfg.maxBatch = 3;
-    ShardDispatcher dispatcher(*coord, cfg);
+    ShardDispatcher dispatcher(cfg);
     std::vector<std::future<std::vector<u8>>> futures;
     for (const auto &q : queries)
-        futures.push_back(dispatcher.submit(q));
+        futures.push_back(
+            submitFuture(dispatcher, q, viaCoordinator(*coord)));
     for (size_t i = 0; i < queries.size(); ++i)
         EXPECT_EQ(futures[i].get(), direct[i]) << "query " << i;
 }
@@ -480,12 +512,18 @@ TEST(Dispatcher, MalformedQueryFailsItsBatchWithSerializeError)
     SchedulerConfig cfg;
     cfg.windowSec = 0.005;
     cfg.maxBatch = 8;
-    ShardDispatcher dispatcher(*coord, cfg);
-    auto bad = dispatcher.submit(std::vector<u8>(32, 0xA5));
+    ShardDispatcher dispatcher(cfg);
+    auto bad = submitFuture(dispatcher, std::vector<u8>(32, 0xA5),
+                            viaCoordinator(*coord));
+    auto good = submitFuture(dispatcher, ref.client.queryBlob(3),
+                             viaCoordinator(*coord));
     EXPECT_THROW((void)bad.get(), SerializeError);
+    // Each query has its own error boundary: the batch-mate is served.
+    EXPECT_EQ(ref.client.decodeResponse(good.get())[0],
+              dbContent(params, 3, 0));
 }
 
-// The TSan CI stage (scripts/ci.sh --tsan, -L thread) runs this suite
+// The TSan CI stage (scripts/ci.sh, -L thread) runs this suite
 // instrumented: concurrent submitters race drain() and then shutdown,
 // exercising every mu_/wake_/idle_ edge the annotations in
 // shard/dispatcher.hh describe.
@@ -511,14 +549,15 @@ TEST(Dispatcher, ConcurrentSubmitDrainShutdownStress)
     cfg.maxBatch = 3;
     std::vector<std::future<std::vector<u8>>> futures(blobs.size());
     {
-        ShardDispatcher dispatcher(*coord, cfg);
+        ShardDispatcher dispatcher(cfg);
         std::vector<std::thread> submitters;
         for (int t = 0; t < kThreads; ++t) {
             submitters.emplace_back([&, t] {
                 for (int i = 0; i < kPerThread; ++i) {
                     size_t idx = static_cast<size_t>(t) * kPerThread +
                                  static_cast<size_t>(i);
-                    futures[idx] = dispatcher.submit(blobs[idx]);
+                    futures[idx] = submitFuture(dispatcher, blobs[idx],
+                                                viaCoordinator(*coord));
                 }
             });
         }
@@ -557,8 +596,9 @@ TEST(Dispatcher, DestructorFlushesQueuedQueries)
         SchedulerConfig cfg;
         cfg.windowSec = 30.0; // Would outlive the test...
         cfg.maxBatch = 64;
-        ShardDispatcher dispatcher(*coord, cfg);
-        fut = dispatcher.submit(ref.client.queryBlob(2));
+        ShardDispatcher dispatcher(cfg);
+        fut = submitFuture(dispatcher, ref.client.queryBlob(2),
+                           viaCoordinator(*coord));
         // ...but shutdown closes the window immediately.
     }
     EXPECT_EQ(ref.client.decodeResponse(fut.get())[0],
