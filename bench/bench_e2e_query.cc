@@ -304,7 +304,7 @@ main(int argc, char **argv)
         fo.backoffBaseSec = 1e-4;
         fo.backoffCapSec = 1e-3;
         ShardCoordinator coord(params_blob, /*num_shards=*/2, fo);
-        coord.fillDatabase([&](u64 entry, int plane) {
+        coord.database().fill([&](u64 entry, int plane) {
             return dbContent(params, entry, plane);
         });
         coord.ingestKeys(key_blob);

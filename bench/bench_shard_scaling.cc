@@ -84,7 +84,7 @@ main()
     IveConfig cfg = IveConfig::ive32();
     for (u32 shards : {1u, 2u, 4u, 8u}) {
         ShardCoordinator coord(params_blob, shards);
-        coord.fillDatabase([&](u64 entry, int plane) {
+        coord.database().fill([&](u64 entry, int plane) {
             std::vector<u64> coeffs(params.he.n);
             for (u64 j = 0; j < params.he.n; ++j)
                 coeffs[j] =

@@ -80,7 +80,7 @@ main()
     // holds the file), each returns a partial ciphertext, and the
     // coordinator runs the final two tournament levels.
     ShardCoordinator coord(params_blob, 4);
-    coord.fillDatabase([&](u64 entry, int plane) {
+    coord.database().fill([&](u64 entry, int plane) {
         std::vector<u64> coeffs(params.he.n);
         for (u64 j = 0; j < params.he.n; ++j)
             coeffs[j] = (entry * 7919 + plane * 104729 + j) &

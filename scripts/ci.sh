@@ -34,7 +34,9 @@
 # are semantically invisible — every suite must still pass bit-exact),
 # then test_fault under the standard delay+error recipe (its fixture
 # disarms per-test, so the run also proves env arming cannot leak into
-# a test body and break determinism).
+# a test body and break determinism), then `bench_e2e_query --quick
+# --inject`, which drives 2 shards x 2 replicas of the optimized build
+# under shard.answer.delay/error and exits 1 on any byte divergence.
 #
 # The static stage is part of the default full run. The clang-based
 # legs (thread-safety analysis, clang-tidy) self-skip with a log line
@@ -106,6 +108,8 @@ run_faults_stage() {
     echo "=== faults: test_fault under the delay+error recipe ==="
     IVE_FAILPOINTS="$FAULTS_FULL_RECIPE" \
         ctest --test-dir build --output-on-failure -R '^test_fault$'
+    echo "=== faults: replicated failover, bench_e2e_query --inject ==="
+    (cd build/bench && ./bench_e2e_query --quick --inject --out /dev/null)
 }
 
 run_serve_stage() {

@@ -19,12 +19,12 @@
  * raw std types.
  *
  * Atomics are deliberately not annotated: ServerCounters,
- * ShardCoordinator's traffic tallies, ServerSession::queriesAnswered_
- * and the PolyWorkspace stats are std::atomic with relaxed ordering and
- * need no capability. State that is written once before concurrent
- * readers start (ServerSession::server_ via ingestKeys) is documented
- * at the member instead; annotating it would force a lock on the
- * read-only hot path.
+ * ShardCoordinator's traffic tallies and the PolyWorkspace stats are
+ * std::atomic with relaxed ordering and need no capability. State that
+ * is written once before concurrent readers start
+ * (ServerSession::server_ and ShardCoordinator::engines_ via
+ * ingestKeys) is documented at the member instead; annotating it would
+ * force a lock on the read-only hot path.
  */
 
 #ifndef IVE_COMMON_ANNOTATIONS_HH

@@ -5,57 +5,18 @@
 namespace ive {
 
 Database::Database(const HeContext &ctx, const PirParams &params)
-    : Database(ctx, params, 0, params.numEntries())
-{
-}
-
-Database::Database(const HeContext &ctx, const PirParams &params,
-                   u64 first_entry, u64 count)
-    : ctx_(ctx), params_(params), first_(first_entry), count_(count)
+    : ctx_(ctx), params_(params)
 {
     params_.validate();
-    ive_assert(first_ <= params_.numEntries());
-    ive_assert(count_ <= params_.numEntries() - first_);
-    entries_.resize(count_ * static_cast<u64>(params_.planes));
-}
-
-std::pair<u64, u64>
-Database::sliceRange(u64 total, u64 shard, u64 num_shards)
-{
-    ive_assert(num_shards >= 1 && shard < num_shards);
-    // Exact boundaries: begin_{s+1} == begin_s of the next shard, so
-    // non-divisible totals split with no overlap or gap and sizes that
-    // differ by at most one record.
-    u64 begin = total / num_shards * shard +
-                total % num_shards * shard / num_shards;
-    u64 end = total / num_shards * (shard + 1) +
-              total % num_shards * (shard + 1) / num_shards;
-    return {begin, end - begin};
-}
-
-Database
-Database::slice(u64 shard, u64 num_shards) const
-{
-    ive_assert(first_ == 0 && count_ == params_.numEntries(),
-               "slice() must start from the full database");
-    auto [begin, count] = sliceRange(count_, shard, num_shards);
-    Database out(ctx_, params_, begin, count);
-    for (int plane = 0; plane < params_.planes; ++plane) {
-        for (u64 e = 0; e < count; ++e)
-            out.entries_[static_cast<u64>(plane) * count + e] =
-                entries_[static_cast<u64>(plane) * count_ + begin + e];
-    }
-    return out;
+    entries_.resize(numEntries() * static_cast<u64>(params_.planes));
 }
 
 void
 Database::fill(const Generator &gen)
 {
     for (int plane = 0; plane < params_.planes; ++plane) {
-        for (u64 e = 0; e < count_; ++e) {
-            std::vector<u64> coeffs = gen(first_ + e, plane);
-            setEntry(first_ + e, plane, coeffs);
-        }
+        for (u64 e = 0; e < numEntries(); ++e)
+            setEntry(e, plane, gen(e, plane));
     }
 }
 
@@ -65,7 +26,7 @@ Database::random(const HeContext &ctx, const PirParams &params, u64 seed)
     Database db(ctx, params);
     db.fill([&](u64 entry, int plane) {
         // Per-(entry, plane) stream: content is independent of fill
-        // order, so slices and the full store agree record-for-record.
+        // order.
         Rng rng(seed + entry * 0x9e3779b97f4a7c15ULL +
                 static_cast<u64>(plane) * 0xbf58476d1ce4e5b9ULL);
         std::vector<u64> coeffs(ctx.n());
@@ -77,24 +38,24 @@ Database::random(const HeContext &ctx, const PirParams &params, u64 seed)
 }
 
 u64
-Database::localIndex(u64 entry, int plane) const
+Database::index(u64 entry, int plane) const
 {
-    ive_assert(entry >= first_ && entry - first_ < count_);
+    ive_assert(entry < numEntries());
     ive_assert(plane >= 0 && plane < params_.planes);
-    return static_cast<u64>(plane) * count_ + (entry - first_);
+    return static_cast<u64>(plane) * numEntries() + entry;
 }
 
 void
 Database::setEntry(u64 entry, int plane, std::span<const u64> coeffs)
 {
     ive_assert(coeffs.size() == ctx_.n());
-    entries_[localIndex(entry, plane)] = liftPlain(ctx_, coeffs);
+    entries_[index(entry, plane)] = liftPlain(ctx_, coeffs);
 }
 
 const RnsPoly &
 Database::entry(u64 entry, int plane) const
 {
-    return entries_[localIndex(entry, plane)];
+    return entries_[index(entry, plane)];
 }
 
 std::vector<u64>

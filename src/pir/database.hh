@@ -12,11 +12,11 @@
  * initial-dimension index selected by RowSel and k* is the column index
  * selected by ColTor.
  *
- * A Database may hold only a contiguous record-axis slice of the full
- * store (paper SV record-level scale-out): every public accessor takes
- * GLOBAL record ids, so the same fill generator produces identical
- * content whether it runs against the full database or each shard's
- * slice. A full database is simply the slice [0, totalEntries()).
+ * A Database always holds the whole store. Engines share it read-only:
+ * the registry's per-client engines and a shard coordinator's slice,
+ * replica and fold engines all read one Database, and a record-axis
+ * shard (paper SV) is a property of the engine (PirServer's shard and
+ * num_shards), not of the store.
  */
 
 #ifndef IVE_PIR_DATABASE_HH
@@ -33,42 +33,22 @@ namespace ive {
 class Database
 {
   public:
-    /** Full database: the slice [0, params.numEntries()). */
     Database(const HeContext &ctx, const PirParams &params);
 
-    /**
-     * Empty slice holding records [first_entry, first_entry + count).
-     * The range must lie inside [0, params.numEntries()).
-     */
-    Database(const HeContext &ctx, const PirParams &params,
-             u64 first_entry, u64 count);
-
-    /**
-     * Copies shard `shard` of `num_shards` record-axis slices. Slice
-     * boundaries are exact: shard s starts at total * s / num_shards,
-     * so non-divisible record counts split into shards whose sizes
-     * differ by at most one record, with no overlap or gap.
-     */
-    Database slice(u64 shard, u64 num_shards) const;
-
-    /** Record range [first, first + count) a slice of the total. */
-    static std::pair<u64, u64> sliceRange(u64 total, u64 shard,
-                                          u64 num_shards);
-
-    /** Fills every local entry from a generator (global id, plane). */
+    /** Fills every entry from a generator (entry id, plane). */
     using Generator =
         std::function<std::vector<u64>(u64 entry, int plane)>;
     void fill(const Generator &gen);
 
     /**
      * Deterministic pseudo-random content (benches, tests). Content is
-     * a pure function of (seed, entry, plane), so a sliced database
-     * filled with the same seed matches the full one record-for-record.
+     * a pure function of (seed, entry, plane), independent of fill
+     * order.
      */
     static Database random(const HeContext &ctx, const PirParams &params,
                            u64 seed);
 
-    /** Sets one entry (global id) from mod-P coeffs; preprocesses it. */
+    /** Sets one entry from mod-P coeffs; preprocesses it. */
     void setEntry(u64 entry, int plane, std::span<const u64> coeffs);
 
     /** Preprocessed (NTT-form, lifted to R_Q) entry polynomial. */
@@ -77,23 +57,16 @@ class Database
     /** Recovers the raw mod-P coefficients of an entry (iNTT + iCRT). */
     std::vector<u64> entryCoeffs(u64 entry, int plane = 0) const;
 
-    /** Records held locally (== totalEntries() for a full database). */
-    u64 numEntries() const { return count_; }
-    /** Global id of the first local record. */
-    u64 firstEntry() const { return first_; }
-    /** Records in the full store across all slices. */
-    u64 totalEntries() const { return params_.numEntries(); }
+    u64 numEntries() const { return params_.numEntries(); }
     int planes() const { return params_.planes; }
     const PirParams &params() const { return params_; }
 
   private:
-    u64 localIndex(u64 entry, int plane) const;
+    u64 index(u64 entry, int plane) const;
 
     const HeContext &ctx_;
     PirParams params_;
-    u64 first_ = 0; ///< Global id of local record 0.
-    u64 count_ = 0; ///< Local record count.
-    std::vector<RnsPoly> entries_; ///< plane-major: [plane][local].
+    std::vector<RnsPoly> entries_; ///< plane-major: [plane][entry].
 };
 
 } // namespace ive

@@ -1,6 +1,7 @@
 #include "pir/server.hh"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "common/bitops.hh"
 #include "common/logging.hh"
@@ -75,21 +76,33 @@ wideFor(u64 count, const std::function<void(u64)> &fn)
 
 } // namespace
 
+void
+checkShardTopology(const PirParams &params, u32 shard, u32 num_shards)
+{
+    // A slice must cover whole columns and sit on a tournament
+    // boundary, or its local folds would pair entries the monolithic
+    // ColTor never pairs.
+    u64 cols = u64{1} << params.d;
+    if (num_shards < 1 || !isPow2(num_shards) || u64{num_shards} > cols)
+        throw std::invalid_argument(strprintf(
+            "shard count %u must be a power of two in [1, 2^d = %llu]",
+            num_shards, static_cast<unsigned long long>(cols)));
+    if (shard >= num_shards)
+        throw std::invalid_argument(
+            strprintf("shard index %u out of range for %u shards",
+                      shard, num_shards));
+}
+
 PirServer::PirServer(const HeContext &ctx, const PirParams &params,
-                     const Database *db, PirPublicKeys keys)
-    : ctx_(ctx), params_(params), db_(db), keys_(std::move(keys))
+                     const Database *db, PirPublicKeys keys, u32 shard,
+                     u32 num_shards)
+    : ctx_(ctx), params_(params), db_(db), keys_(std::move(keys)),
+      shard_(shard), numShards_(num_shards)
 {
     params_.validate();
-    if (db_ != nullptr) {
-        // A slice must cover whole columns and sit on a tournament
-        // boundary, or its local folds would pair entries the
-        // monolithic ColTor never pairs.
-        ive_assert(db_->numEntries() > 0 &&
-                   db_->numEntries() % params_.d0 == 0);
-        u64 cols = db_->numEntries() / params_.d0;
-        ive_assert(isPow2(cols) && cols <= (u64{1} << params_.d));
-        ive_assert(db_->firstEntry() % (cols * params_.d0) == 0);
-    }
+    checkShardTopology(params_, shard_, numShards_);
+    ive_assert(db_ != nullptr &&
+               db_->numEntries() == params_.numEntries());
     ive_assert(static_cast<int>(keys_.evks.size()) >=
                params_.expansionDepth());
 
@@ -132,8 +145,7 @@ PirServer::PirServer(const HeContext &ctx, const PirParams &params,
 u64
 PirServer::localColumns() const
 {
-    ive_assert(db_ != nullptr, "fold-only server has no database");
-    return db_->numEntries() / params_.d0;
+    return (u64{1} << params_.d) / numShards_;
 }
 
 int
@@ -302,7 +314,7 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
     obs::StageSpan span(&sm.rowsel, "rowsel");
     ive_assert(leaves.size() >= params_.d0);
     u64 cols = localColumns();
-    u64 first = db_->firstEntry();
+    u64 first = shard_ * cols * params_.d0;
 
     // Columns are independent; within one column the accumulation
     // order is fixed, so the output is identical at any thread count.

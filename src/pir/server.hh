@@ -15,16 +15,15 @@
  *   4. ColTor: a binary tournament of external products halves the
  *      2^d candidates per dimension; error grows only additively.
  *
- * Sharded serving (paper SV): the database may be a record-axis slice
- * covering a power-of-two, boundary-aligned run of the 2^d ColTor
- * columns. processAllPlanes() then runs RowSel plus only the local
- * localLevels() tournament levels and returns the unfused partials;
- * the coordinator finishes with colTor(entries, sel, sel_offset) over
- * the gathered partials using the remaining selectors. Because every
- * fold the single server would perform happens once, on the same
- * operands, in the same order, the sharded result is byte-identical to
- * the monolithic one. A server built with db == nullptr is fold-only:
- * it expands queries and folds partials but cannot run RowSel.
+ * Sharded serving (paper SV): an engine may serve slice `shard` of
+ * `num_shards` of the whole Database — a power-of-two, boundary-aligned
+ * run of the 2^d ColTor columns. processAllPlanes() then runs RowSel
+ * over those columns plus only the local localLevels() tournament
+ * levels and returns the unfused partials; the coordinator finishes
+ * with colTor(entries, sel, sel_offset) over the gathered partials
+ * using the remaining selectors. Because every fold the single server
+ * would perform happens once, on the same operands, in the same order,
+ * the sharded result is byte-identical to the monolithic one.
  */
 
 #ifndef IVE_PIR_SERVER_HH
@@ -90,16 +89,27 @@ struct ServerCounters
     }
 };
 
+/**
+ * The one record-axis topology check: throws std::invalid_argument
+ * unless num_shards is a power of two in [1, 2^d] (so every slice
+ * covers whole ColTor columns on a tournament boundary) and
+ * shard < num_shards.
+ */
+void checkShardTopology(const PirParams &params, u32 shard,
+                        u32 num_shards);
+
 class PirServer
 {
   public:
     /**
-     * db may cover the full store, a column-aligned power-of-two slice
-     * of it (shard serving), or be nullptr for a fold-only server that
-     * never touches RowSel (the coordinator's finishing engine).
+     * Serves slice `shard` of `num_shards` of the whole database db,
+     * which must outlive the engine; the default is the whole store.
+     * Throws std::invalid_argument on a bad topology
+     * (checkShardTopology).
      */
     PirServer(const HeContext &ctx, const PirParams &params,
-              const Database *db, PirPublicKeys keys);
+              const Database *db, PirPublicKeys keys, u32 shard = 0,
+              u32 num_shards = 1);
 
     /**
      * Expands the query into usedLeaves() ciphertexts: [0, D0) are the
@@ -129,7 +139,7 @@ class PirServer
 
     /**
      * RowSel over one plane: one accumulated ciphertext per local
-     * database column (2^d for a full database, fewer for a slice).
+     * database column (2^d for the whole store, fewer for a slice).
      */
     std::vector<BfvCiphertext>
     rowSel(const std::vector<BfvCiphertext> &leaves, int plane = 0) const;
@@ -153,25 +163,26 @@ class PirServer
     /**
      * The pipeline for all planes (one expansion, shared): RowSel over
      * the local slice plus its localLevels() leading tournament levels.
-     * For a full database that is the complete answer; for a shard it
+     * For the whole store that is the complete answer; for a shard it
      * is the unfused partial the coordinator folds.
      */
     std::vector<BfvCiphertext> processAllPlanes(const PirQuery &query)
         const;
 
-    /** ColTor columns the local database slice covers. */
+    /** ColTor columns the local slice covers: 2^d / numShards(). */
     u64 localColumns() const;
 
     /** Tournament levels the local slice folds: log2(localColumns). */
     int localLevels() const;
+
+    u32 shard() const { return shard_; }
+    u32 numShards() const { return numShards_; }
 
     const ServerCounters &counters() const { return counters_; }
     void resetCounters() const { counters_.reset(); }
 
     const HeContext &context() const { return ctx_; }
     const PirParams &params() const { return params_; }
-    /** The database slice (nullptr on a fold-only server). */
-    const Database *database() const { return db_; }
 
   private:
     /**
@@ -195,6 +206,8 @@ class PirServer
     PirParams params_;
     const Database *db_;
     PirPublicKeys keys_;
+    u32 shard_;
+    u32 numShards_;
     std::vector<RnsPoly> monomials_; ///< NTT(X^{-2^t}) per tree level.
     /** x2^64 Shoup companions of monomials_, prime-major k*n words:
      *  the expansion's odd-branch multiplies skip Barrett entirely. */

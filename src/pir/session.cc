@@ -83,45 +83,13 @@ ClientSession::decodeResponse(std::span<const u8> response_blob) const
     return out;
 }
 
-namespace {
-
-/**
- * Record range shard `shard` of `num_shards` covers: whole ColTor
- * columns on a tournament boundary, so the shard's local folds match
- * the monolithic schedule exactly (see pir/server.hh).
- */
-std::pair<u64, u64>
-shardRecordRange(const PirParams &params, u32 shard, u32 num_shards)
-{
-    u64 cols = u64{1} << params.d;
-    if (num_shards < 1 || !isPow2(num_shards) ||
-        u64{num_shards} > cols)
-        throw std::invalid_argument(strprintf(
-            "shard count %u must be a power of two in [1, 2^d = %llu]",
-            num_shards, static_cast<unsigned long long>(cols)));
-    if (shard >= num_shards)
-        throw std::invalid_argument(
-            strprintf("shard index %u out of range for %u shards",
-                      shard, num_shards));
-    u64 cols_per = cols / num_shards;
-    return {u64{shard} * cols_per * params.d0, cols_per * params.d0};
-}
-
-} // namespace
-
-ServerSession::ServerSession(std::span<const u8> params_blob, u32 shard,
-                             u32 num_shards)
-    : ServerSession(deserializeParams(params_blob), shard, num_shards)
+ServerSession::ServerSession(std::span<const u8> params_blob)
+    : ServerSession(deserializeParams(params_blob))
 {
 }
 
-ServerSession::ServerSession(const PirParams &params, u32 shard,
-                             u32 num_shards)
-    : params_(params), ctx_(params_.he), shard_(shard),
-      numShards_(num_shards),
-      db_(ctx_, params_,
-          shardRecordRange(params_, shard, num_shards).first,
-          shardRecordRange(params_, shard, num_shards).second)
+ServerSession::ServerSession(const PirParams &params)
+    : params_(params), ctx_(params_.he), db_(ctx_, params_)
 {
 }
 
@@ -181,20 +149,13 @@ answerQuery(const PirServer &engine, std::span<const u8> query_blob)
     std::vector<u8> out;
     {
         obs::StageSpan ser(&sm.serializeNs, "serialize");
-        // PirServer's constructor pins a slice to whole columns on a
-        // tournament boundary, so its position names the shard.
-        const u64 cols = engine.localColumns();
-        const u64 all = u64{1} << engine.params().d;
-        if (cols == all) {
+        if (engine.numShards() == 1)
             out = serializeResponse(ctx, PirResponse{std::move(planes)});
-        } else {
-            const u64 slice = engine.database()->firstEntry() /
-                              (cols * engine.params().d0);
+        else
             out = serializePartialResponse(
-                ctx, PirPartialResponse{static_cast<u32>(slice),
-                                        static_cast<u32>(all / cols),
+                ctx, PirPartialResponse{engine.shard(),
+                                        engine.numShards(),
                                         std::move(planes)});
-        }
     }
     sm.responseBytes.add(out.size());
     sm.queries.add(1);
@@ -204,9 +165,7 @@ answerQuery(const PirServer &engine, std::span<const u8> query_blob)
 std::vector<u8>
 ServerSession::answer(std::span<const u8> query_blob) const
 {
-    std::vector<u8> out = answerQuery(server(), query_blob);
-    queriesAnswered_.fetch_add(1, std::memory_order_relaxed);
-    return out;
+    return answerQuery(server(), query_blob);
 }
 
 const ServerCounters &

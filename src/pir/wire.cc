@@ -106,6 +106,21 @@ checkConstructible(ByteReader &r, const PirParams &p)
                              (1024.0 * 1024.0 * 1024.0)));
 }
 
+/**
+ * Every ciphertext the serving protocol carries (query, response,
+ * partial response) is in NTT form, and the pipeline and the client's
+ * decoder assume it. The wire format tags either domain, so the three
+ * protocol decoders reject a coefficient-domain plane here.
+ */
+BfvCiphertext
+loadNttCiphertext(ByteReader &r, const Ring &ring, const char *what)
+{
+    BfvCiphertext ct = loadBfvCiphertext(r, ring);
+    if (!ct.a.isNtt() || !ct.b.isNtt())
+        r.fail(strprintf("%s ciphertext must be in NTT form", what));
+    return ct;
+}
+
 } // namespace
 
 std::vector<u8>
@@ -223,9 +238,7 @@ deserializeQuery(const HeContext &ctx, std::span<const u8> blob)
 {
     ByteReader r(blob);
     r.readHeader(WireKind::Query);
-    PirQuery q{loadBfvCiphertext(r, ctx.ring())};
-    if (!q.ct.a.isNtt() || !q.ct.b.isNtt())
-        r.fail("query ciphertext must be in NTT form");
+    PirQuery q{loadNttCiphertext(r, ctx.ring(), "query")};
     r.expectEnd();
     return q;
 }
@@ -265,7 +278,8 @@ deserializeResponse(const HeContext &ctx, std::span<const u8> blob)
     if (planes == 0)
         r.fail("response has zero planes");
     for (u64 i = 0; i < planes; ++i)
-        resp.planes.push_back(loadBfvCiphertext(r, ctx.ring()));
+        resp.planes.push_back(
+            loadNttCiphertext(r, ctx.ring(), "response"));
     r.expectEnd();
     return resp;
 }
@@ -308,7 +322,8 @@ deserializePartialResponse(const HeContext &ctx,
     if (planes == 0)
         r.fail("partial response has zero planes");
     for (u64 i = 0; i < planes; ++i)
-        partial.planes.push_back(loadBfvCiphertext(r, ctx.ring()));
+        partial.planes.push_back(
+            loadNttCiphertext(r, ctx.ring(), "partial-response"));
     r.expectEnd();
     return partial;
 }

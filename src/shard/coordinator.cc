@@ -4,6 +4,7 @@
 #include <chrono>
 #include <future>
 
+#include "common/failpoint.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 #include "obs/trace.hh"
@@ -53,6 +54,36 @@ coordMetrics()
     return m;
 }
 
+/** Default cap on an injected hang: a hang that outlives its test
+ *  must release on its own so watchdog joins stay bounded. */
+constexpr u64 kHangCapMs = 2000;
+
+/**
+ * One replica call: the shard.answer.* failpoints, then the engine's
+ * answerQuery. The failpoints are scoped by slice index so a recipe
+ * can fail exactly one slice of a broadcast (at=N in the spec), and
+ * sit in front of the slice pipeline: an injected fault costs no
+ * compute.
+ */
+std::vector<u8>
+answerReplica(const PirServer &engine, std::span<const u8> query_blob)
+{
+    static fail::Failpoint &delay = fail::point("shard.answer.delay");
+    static fail::Failpoint &error = fail::point("shard.answer.error");
+    static fail::Failpoint &hang = fail::point("shard.answer.hang");
+
+    const u32 slice = engine.shard();
+    if (fail::Hit h = delay.evaluate(slice))
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(h.arg ? h.arg : 10));
+    if (fail::Hit h = hang.evaluate(slice))
+        hang.blockWhileArmed(h.arg ? h.arg : kHangCapMs);
+    if (error.evaluate(slice))
+        throw Error(strprintf(
+            "injected fault: shard.answer.error (shard %u)", slice));
+    return answerQuery(engine, query_blob);
+}
+
 } // namespace
 
 double
@@ -74,18 +105,13 @@ ShardCoordinator::ShardCoordinator(std::span<const u8> params_blob,
 ShardCoordinator::ShardCoordinator(const PirParams &params,
                                    u32 num_shards,
                                    const FailoverConfig &fo)
-    : params_(params), ctx_(params_.he), numShards_(num_shards), fo_(fo)
+    : params_(params), ctx_(params_.he), db_(ctx_, params_),
+      numShards_(num_shards), fo_(fo)
 {
+    checkShardTopology(params_, 0, num_shards);
     if (fo_.replicas == 0)
         throw std::invalid_argument(
             "ShardCoordinator: replicas must be >= 1");
-    // The shard session constructor validates the topology (power of
-    // two, at most 2^d) and throws std::invalid_argument otherwise.
-    engines_.reserve(static_cast<size_t>(num_shards) * fo_.replicas);
-    for (u32 s = 0; s < num_shards; ++s)
-        for (u32 r = 0; r < fo_.replicas; ++r)
-            engines_.push_back(
-                std::make_unique<ShardServer>(params_, s, num_shards));
 }
 
 ShardCoordinator::~ShardCoordinator()
@@ -102,59 +128,43 @@ ShardCoordinator::~ShardCoordinator()
         t.join();
 }
 
-ShardServer &
-ShardCoordinator::shard(u32 slice)
-{
-    return replica(slice, 0);
-}
-
-ShardServer &
-ShardCoordinator::replica(u32 slice, u32 r)
-{
-    ive_assert(slice < numShards_ && r < fo_.replicas);
-    return *engines_[static_cast<size_t>(slice) * fo_.replicas + r];
-}
-
-void
-ShardCoordinator::fillDatabase(const Database::Generator &gen)
-{
-    // Slices are disjoint and replicas independent; fill every engine
-    // concurrently. The generator receives global record ids, so each
-    // replica's content is the same one big Database::fill would
-    // produce — the precondition for failover byte-identity.
-    parallelFor(0, engines_.size(),
-                [&](u64 i) { engines_[i]->database().fill(gen); });
-}
-
 void
 ShardCoordinator::ingestKeys(std::span<const u8> key_blob)
 {
-    for (auto &engine : engines_)
-        engine->ingestKeys(key_blob);
-    // The finishing engine holds no database slice: it only expands
-    // queries into selectors and runs the last tournament levels.
-    foldServer_ = std::make_unique<PirServer>(
-        ctx_, params_,
-        /*db=*/nullptr,
-        deserializeCompatibleKeys(ctx_, params_, key_blob));
+    // One decode; every engine takes its own copy of the keys.
+    PirPublicKeys keys =
+        deserializeCompatibleKeys(ctx_, params_, key_blob);
+    std::vector<std::shared_ptr<const PirServer>> engines;
+    engines.reserve(static_cast<size_t>(numShards_) * fo_.replicas);
+    for (u32 s = 0; s < numShards_; ++s)
+        for (u32 r = 0; r < fo_.replicas; ++r)
+            engines.push_back(std::make_shared<const PirServer>(
+                ctx_, params_, &db_, keys, s, numShards_));
+    engines_ = std::move(engines);
+    // The finishing engine only expands queries into selectors and
+    // runs the last tournament levels; it never touches RowSel.
+    foldServer_ = std::make_shared<const PirServer>(ctx_, params_, &db_,
+                                                    std::move(keys));
 }
 
 std::vector<u8>
-ShardCoordinator::callReplica(ShardServer &srv,
-                              std::span<const u8> query_blob)
+ShardCoordinator::callReplica(
+    const std::shared_ptr<const PirServer> &engine,
+    std::span<const u8> query_blob)
 {
     if (fo_.shardDeadlineSec <= 0.0)
-        return srv.answer(query_blob);
+        return answerReplica(*engine, query_blob);
 
     // Watchdog path: run the call on its own thread and wait no longer
     // than the deadline. On expiry the call is abandoned — its thread
     // is parked for the destructor to join — and the slice moves on to
-    // the next replica. The blob is copied into shared ownership so an
-    // abandoned call never reads freed caller memory.
+    // the next replica. The task owns a copy of the blob and a
+    // reference to the engine, so an abandoned call never reads freed
+    // caller memory or an engine a later ingestKeys replaced.
     auto blob = std::make_shared<const std::vector<u8>>(
         query_blob.begin(), query_blob.end());
     std::packaged_task<std::vector<u8>()> task(
-        [&srv, blob] { return srv.answer(*blob); });
+        [engine, blob] { return answerReplica(*engine, *blob); });
     std::future<std::vector<u8>> fut = task.get_future();
     std::thread runner(std::move(task));
     if (fut.wait_for(std::chrono::duration<double>(
@@ -170,13 +180,17 @@ ShardCoordinator::callReplica(ShardServer &srv,
     coordMetrics().deadlineMisses.add(1);
     throw DeadlineExceeded(strprintf(
         "shard %u replica call exceeded its %.3fs deadline",
-        srv.shard(), fo_.shardDeadlineSec));
+        engine->shard(), fo_.shardDeadlineSec));
 }
 
 std::vector<u8>
-ShardCoordinator::gatherSlice(u32 slice,
+ShardCoordinator::answerSlice(u32 slice,
                               std::span<const u8> query_blob)
 {
+    if (engines_.empty())
+        throw std::logic_error(
+            "ShardCoordinator: no client keys ingested yet");
+    ive_assert(slice < numShards_);
     CoordMetrics &cm = coordMetrics();
     const u32 attempts =
         fo_.maxAttempts ? fo_.maxAttempts : 2 * fo_.replicas;
@@ -184,8 +198,9 @@ ShardCoordinator::gatherSlice(u32 slice,
     for (u32 a = 0;; ++a) {
         const u32 r = a % fo_.replicas;
         try {
-            std::vector<u8> partial =
-                callReplica(replica(slice, r), query_blob);
+            std::vector<u8> partial = callReplica(
+                engines_[static_cast<size_t>(slice) * fo_.replicas + r],
+                query_blob);
             if (a > 0)
                 cm.retryLatencyNs.record(obs::nowNs() - t0);
             return partial;
@@ -227,7 +242,7 @@ ShardCoordinator::answer(std::span<const u8> query_blob)
     // broken replica never blocks the other slices' progress.
     std::vector<std::vector<u8>> partials(numShards_);
     parallelFor(0, numShards_, [&](u64 s) {
-        partials[s] = gatherSlice(static_cast<u32>(s), query_blob);
+        partials[s] = answerSlice(static_cast<u32>(s), query_blob);
     });
     broadcastBytes_.fetch_add(query_blob.size() * numShards_,
                               std::memory_order_relaxed);
@@ -331,7 +346,7 @@ ShardCoordinator::summary() const
     s.numReplicas = fo_.replicas;
     s.queries = queries_.load(std::memory_order_relaxed);
     for (const auto &engine : engines_)
-        s.shardOps += engine->opCounters();
+        s.shardOps += engine->counters().snapshot();
     if (foldServer_)
         s.foldOps = foldServer_->counters().snapshot();
     s.broadcastBytes = broadcastBytes_.load(std::memory_order_relaxed);

@@ -2,21 +2,24 @@
  * @file
  * Partial-fold coordinator for sharded PIR serving (paper SV).
  *
- * The database is partitioned along the record axis into num_shards
- * column-aligned slices, each served by a *replica group* of R
- * identical ShardServer engines. Per query the coordinator:
+ * The coordinator owns one HeContext and one Database. The record
+ * axis is split into num_shards column-aligned slices, each served by
+ * a *replica group* of R PirServer engines over that one store
+ * (PirServer's shard / num_shards). Per query the coordinator:
  *
  *   1. broadcasts the query blob to EVERY slice — a selective send
  *      would reveal which slice holds the requested record, so all
  *      slices always do the same work;
- *   2. gathers one PartialResponse blob per slice, retrying across the
- *      slice's replicas on error or per-shard deadline expiry with
- *      capped exponential backoff (see FailoverConfig);
+ *   2. gathers one PartialResponse blob per slice (answerSlice),
+ *      retrying across the slice's replicas on error or per-shard
+ *      deadline expiry with capped exponential backoff (see
+ *      FailoverConfig);
  *   3. finishes the final log2(num_shards) tournament levels on its
- *      own fold-only engine and serializes a regular Response blob.
+ *      own whole-database fold engine and serializes a regular
+ *      Response blob.
  *
- * Every replica of a slice holds the same records and keys and runs
- * the same deterministic pipeline, so every replica computes the
+ * Every replica of a slice reads the same store with the same keys and
+ * runs the same deterministic pipeline, so every replica computes the
  * byte-identical PartialResponse — failover changes *which engine*
  * answered, never *what* was answered. Responses therefore stay
  * byte-identical to the monolithic server under any injected fault
@@ -35,7 +38,7 @@
 
 #include "common/annotations.hh"
 #include "common/error.hh"
-#include "shard/shard_server.hh"
+#include "pir/session.hh"
 
 namespace ive {
 
@@ -95,10 +98,9 @@ class ShardCoordinator
 {
   public:
     /**
-     * Builds num_shards slices of fo.replicas in-process engines each,
-     * plus the fold-only finishing engine. num_shards must be a power
-     * of two in [1, 2^d]; anything else throws std::invalid_argument,
-     * as does fo.replicas == 0.
+     * Builds the context and the (empty) store. num_shards must be a
+     * power of two in [1, 2^d] (checkShardTopology); anything else
+     * throws std::invalid_argument, as does fo.replicas == 0.
      */
     ShardCoordinator(std::span<const u8> params_blob, u32 num_shards,
                      const FailoverConfig &fo = {});
@@ -115,22 +117,14 @@ class ShardCoordinator
     const HeContext &context() const { return ctx_; }
     const FailoverConfig &failover() const { return fo_; }
 
-    /** Replica 0 of one slice (tests, manual filling). */
-    ShardServer &shard(u32 slice);
-    /** A specific replica of one slice. */
-    ShardServer &replica(u32 slice, u32 r);
+    /** The one store every engine reads; fill before answering. */
+    Database &database() { return db_; }
 
     /**
-     * Fills every replica of every slice from one global-record
-     * generator. Engines fill concurrently on the thread pool, so the
-     * generator must be thread-safe — in practice a pure function of
-     * (entry, plane), which is also what makes every replica's content
-     * identical to one big Database::fill (the failover byte-identity
-     * precondition).
+     * Ingests a client's key blob: deserializes it once and builds the
+     * num_shards * replicas slice engines plus the fold engine, all
+     * over database().
      */
-    void fillDatabase(const Database::Generator &gen);
-
-    /** Ingests a client's key blob on every engine + the fold engine. */
     void ingestKeys(std::span<const u8> key_blob);
 
     /**
@@ -139,6 +133,15 @@ class ShardCoordinator
      * group failed past the retry budget.
      */
     std::vector<u8> answer(std::span<const u8> query_blob);
+
+    /**
+     * One slice's PartialResponse blob (a one-slice deployment's
+     * Response blob), rotating through the slice's replicas on
+     * failure: the gather step of answer(). Throws ShardUnavailable
+     * when every attempt failed.
+     */
+    std::vector<u8> answerSlice(u32 slice,
+                                std::span<const u8> query_blob);
 
     /**
      * Finishes the fold over externally gathered PartialResponse
@@ -159,20 +162,25 @@ class ShardCoordinator
     std::vector<u8> finishFold(
         const PirQuery &query,
         const std::vector<std::vector<u8>> &partial_blobs);
-    /** One slice's partial, rotating through replicas on failure. */
-    std::vector<u8> gatherSlice(u32 slice,
-                                std::span<const u8> query_blob);
     /** One replica call, under the watchdog when a deadline is set. */
-    std::vector<u8> callReplica(ShardServer &srv,
-                                std::span<const u8> query_blob);
+    std::vector<u8>
+    callReplica(const std::shared_ptr<const PirServer> &engine,
+                std::span<const u8> query_blob);
 
     PirParams params_;
     HeContext ctx_;
+    Database db_;
     u32 numShards_ = 1;
     FailoverConfig fo_;
-    /** engines_[slice * replicas + r]; identical content per slice. */
-    std::vector<std::unique_ptr<ShardServer>> engines_;
-    std::unique_ptr<PirServer> foldServer_; ///< db = nullptr.
+    /**
+     * engines_[slice * replicas + r]. Shared so a watchdog-abandoned
+     * call keeps its engine alive across a later ingestKeys. Written by
+     * ingestKeys() before concurrent answers start, then only read
+     * (the same handshake as ServerSession::server_).
+     */
+    std::vector<std::shared_ptr<const PirServer>> engines_;
+    /** Whole-database engine: runs expandAndSelect and colTor only. */
+    std::shared_ptr<const PirServer> foldServer_;
     // Traffic tallies are relaxed atomics, not mutex-guarded state:
     // concurrent answer() calls bump them independently and summary()
     // reads a (possibly torn-across-fields) snapshot by design. See

@@ -34,13 +34,15 @@ main()
 
     // Shard 0 of the canonical two-shard deployment (same DB content,
     // same keys): pins the PartialResponse encoding.
-    ServerSession shard0(params_blob, golden::kPartialShard,
-                         golden::kPartialNumShards);
-    shard0.database().fill([&](u64 entry, int plane) {
+    HeContext ctx(params.he);
+    Database db(ctx, params);
+    db.fill([&](u64 entry, int plane) {
         return golden::entryContent(params, entry, plane);
     });
-    shard0.ingestKeys(key_blob);
-    std::vector<u8> partial_blob = shard0.answer(query_blob);
+    PirServer shard0(ctx, params, &db,
+                     deserializeCompatibleKeys(ctx, params, key_blob),
+                     golden::kPartialShard, golden::kPartialNumShards);
+    std::vector<u8> partial_blob = answerQuery(shard0, query_blob);
 
     bool ok = golden::writeBlob("golden_params.bin", params_blob) &&
               golden::writeBlob("golden_query.bin", query_blob) &&

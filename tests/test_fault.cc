@@ -91,7 +91,7 @@ makeCoordinator(Reference &ref, u32 num_shards,
 {
     auto coord = std::make_unique<ShardCoordinator>(
         ref.client.paramsBlob(), num_shards, fo);
-    coord->fillDatabase(contentGenerator(ref.client.params()));
+    coord->database().fill(contentGenerator(ref.client.params()));
     coord->ingestKeys(ref.client.keyBlob());
     return coord;
 }
@@ -366,6 +366,42 @@ TEST_F(FaultShard, ErrorFailoverIsByteIdentical)
     EXPECT_EQ(s.deadlineMisses, 0u);
 }
 
+TEST_F(FaultShard, ReplicasServeOneSharedStore)
+{
+    PirParams params = smallParams(8, 2, /*planes=*/2); // 32 records
+    Reference ref(params);
+    FailoverConfig fo;
+    fo.replicas = 2;
+    fo.backoffBaseSec = 1e-4;
+    fo.backoffCapSec = 1e-3;
+    auto coord = makeCoordinator(ref, 2, fo);
+
+    // Rewrite one record after the engines exist. Record 21 sits in
+    // column 2, so in slice 1 of 2.
+    const u64 target = 21;
+    const u32 slice = 1;
+    std::vector<std::vector<u64>> fresh;
+    for (int plane = 0; plane < params.planes; ++plane) {
+        std::vector<u64> coeffs(params.he.n);
+        for (u64 j = 0; j < params.he.n; ++j)
+            coeffs[j] = (j * 5 + 3 + static_cast<u64>(plane)) &
+                        (params.he.plainModulus - 1);
+        coord->database().setEntry(target, plane, coeffs);
+        fresh.push_back(std::move(coeffs));
+    }
+
+    // Replica 0 of the record's slice fails once, so replica 1 answers
+    // for it. The new content comes back: every engine reads the
+    // coordinator's one Database, not a copy taken at fill time.
+    fail::point("shard.answer.error")
+        .arm(fail::Trigger::nth(1).withScope(slice));
+    std::vector<std::vector<u64>> planes = ref.client.decodeResponse(
+        coord->answer(ref.client.queryBlob(target)));
+    EXPECT_EQ(planes, fresh);
+    EXPECT_EQ(fail::point("shard.answer.error").fires(), 1u);
+    EXPECT_EQ(coord->summary().failovers, 1u);
+}
+
 TEST_F(FaultShard, TimeoutFailoverIsByteIdentical)
 {
     PirParams params = smallParams(8, 2);
@@ -437,13 +473,13 @@ TEST_F(FaultShard, HangSelfReleasesAtItsCap)
     Reference ref(params);
     auto coord = makeCoordinator(ref, 2);
     std::vector<u8> query = ref.client.queryBlob(11);
-    std::vector<u8> clean = coord->shard(0).answer(query);
+    std::vector<u8> clean = coord->answerSlice(0, query);
 
     // The hang cap bounds the stall even when nobody disarms: the
     // call completes normally afterwards, bytes unchanged.
     fail::point("shard.answer.hang")
         .arm(fail::Trigger::nth(1).withArg(100));
-    EXPECT_EQ(coord->shard(0).answer(query), clean);
+    EXPECT_EQ(coord->answerSlice(0, query), clean);
     EXPECT_EQ(fail::point("shard.answer.hang").fires(), 1u);
 }
 
@@ -453,14 +489,14 @@ TEST_F(FaultShard, DisarmUnblocksAHungShard)
     Reference ref(params);
     auto coord = makeCoordinator(ref, 2);
     std::vector<u8> query = ref.client.queryBlob(2);
-    std::vector<u8> clean = coord->shard(1).answer(query);
+    std::vector<u8> clean = coord->answerSlice(1, query);
 
     fail::point("shard.answer.hang")
         .arm(fail::Trigger::nth(1).withArg(5000).withScope(1));
     auto t0 = std::chrono::steady_clock::now();
     std::vector<u8> hung;
     std::thread caller(
-        [&] { hung = coord->shard(1).answer(query); });
+        [&] { hung = coord->answerSlice(1, query); });
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     fail::disarmAll(); // Wakes blockWhileArmed long before the cap.
     caller.join();

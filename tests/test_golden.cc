@@ -115,15 +115,17 @@ TEST(Golden, ShardReproducesCommittedPartialResponse)
         golden::readBlob("golden_partial_response.bin");
     ASSERT_FIXTURE_PRESENT(want, "golden_partial_response.bin");
 
-    ServerSession shard0(f.params_blob, golden::kPartialShard,
-                         golden::kPartialNumShards);
-    shard0.database().fill([&](u64 entry, int plane) {
+    HeContext ctx(f.params.he);
+    Database db(ctx, f.params);
+    db.fill([&](u64 entry, int plane) {
         return golden::entryContent(f.params, entry, plane);
     });
-    shard0.ingestKeys(f.key_blob);
+    PirServer shard0(ctx, f.params, &db,
+                     deserializeCompatibleKeys(ctx, f.params, f.key_blob),
+                     golden::kPartialShard, golden::kPartialNumShards);
     for (int threads : {1, 8}) {
         ThreadPool::setGlobalThreads(threads);
-        EXPECT_EQ(shard0.answer(f.query_blob), want)
+        EXPECT_EQ(answerQuery(shard0, f.query_blob), want)
             << threads << " threads";
     }
     ThreadPool::setGlobalThreads(1);
@@ -138,7 +140,7 @@ TEST(Golden, CoordinatorReproducesCommittedResponse)
     ASSERT_FIXTURE_PRESENT(want, "golden_response.bin");
 
     ShardCoordinator coord(f.params_blob, golden::kPartialNumShards);
-    coord.fillDatabase([&](u64 entry, int plane) {
+    coord.database().fill([&](u64 entry, int plane) {
         return golden::entryContent(f.params, entry, plane);
     });
     coord.ingestKeys(f.key_blob);

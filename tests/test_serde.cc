@@ -17,6 +17,7 @@
 
 #include "modmath/primes.hh"
 #include "pir/session.hh"
+#include "shard/coordinator.hh"
 
 using namespace ive;
 
@@ -514,6 +515,57 @@ TEST(Serde, PartialResponseHostileFieldsThrow)
         throwMessage([&] { deserializePartialResponse(f.ctx, huge); })
             .find("count"),
         std::string::npos);
+}
+
+TEST(Serde, ResponsesRejectCoefficientDomainPlanes)
+{
+    // Every served ciphertext is in NTT form. A domain tag flipped to
+    // coefficient form must throw from the decoder instead of reaching
+    // the client's decode or the coordinator's fold. After the 6-byte
+    // header a Response has its u64 plane count, so plane 0's a-side
+    // tag is byte 14; a PartialResponse adds shard and count u32s, so
+    // byte 22. The b-side tag follows one polynomial later.
+    PirParams params = tinyParams(); // 2 columns
+    ClientSession client(params, 11);
+    ShardCoordinator coord(client.paramsBlob(), 2);
+    coord.database().fill([&](u64 entry, int plane) {
+        return std::vector<u64>(
+            params.he.n, (entry * 3 + static_cast<u64>(plane)) &
+                             (params.he.plainModulus - 1));
+    });
+    coord.ingestKeys(client.keyBlob());
+    const HeContext &ctx = client.context();
+    std::vector<u8> query = client.queryBlob(1);
+    std::vector<u8> response = coord.answer(query);
+    std::vector<std::vector<u8>> partials{coord.answerSlice(0, query),
+                                          coord.answerSlice(1, query)};
+    const u64 poly_bytes = 1 + ctx.ring().words() * 8;
+
+    for (u64 side = 0; side < 2; ++side) {
+        std::vector<u8> bad_response = response;
+        ASSERT_EQ(bad_response[14 + side * poly_bytes], 1u);
+        bad_response[14 + side * poly_bytes] = 0;
+        EXPECT_NE(throwMessage([&] {
+                      deserializeResponse(ctx, bad_response);
+                  }).find("NTT form"),
+                  std::string::npos);
+        EXPECT_THROW((void)client.decodeResponse(bad_response),
+                     SerializeError);
+
+        std::vector<std::vector<u8>> bad_partials = partials;
+        ASSERT_EQ(bad_partials[0][22 + side * poly_bytes], 1u);
+        bad_partials[0][22 + side * poly_bytes] = 0;
+        EXPECT_NE(throwMessage([&] {
+                      deserializePartialResponse(ctx, bad_partials[0]);
+                  }).find("NTT form"),
+                  std::string::npos);
+        EXPECT_THROW((void)coord.foldPartials(query, bad_partials),
+                     SerializeError);
+    }
+    // The untouched blobs still decode and fold.
+    EXPECT_EQ(coord.foldPartials(query, partials), response);
+    EXPECT_EQ(client.decodeResponse(response)[0],
+              std::vector<u64>(params.he.n, 3));
 }
 
 TEST(Serde, PublicKeysRoundTrip)

@@ -1,12 +1,12 @@
 /**
  * @file
- * Sharded serving: slicing, coordinator fold correctness, hostile
- * partial rejection, and the live waiting-window dispatcher.
+ * Sharded serving: slice engines, coordinator fold correctness,
+ * hostile partial rejection, and the live waiting-window dispatcher.
  *
  * The load-bearing property is byte-identity: for the same query, the
  * shard coordinator's Response blobs must equal the single-server
  * ServerSession::answer() blobs at every shard count (1/2/4/8) and
- * thread count (1/8). Everything else — slicing boundaries, counter
+ * thread count (1/8). Everything else — slice engines, counter
  * aggregation, topology validation, dispatcher batching — supports
  * that deployment.
  */
@@ -73,7 +73,7 @@ makeCoordinator(Reference &ref, u32 num_shards)
 {
     auto coord = std::make_unique<ShardCoordinator>(
         ref.client.paramsBlob(), num_shards);
-    coord->fillDatabase(contentGenerator(ref.client.params()));
+    coord->database().fill(contentGenerator(ref.client.params()));
     coord->ingestKeys(ref.client.keyBlob());
     return coord;
 }
@@ -89,130 +89,58 @@ viaCoordinator(ShardCoordinator &coord)
 
 } // namespace
 
-// ---------------------------------------------------------------- slicing
-
-TEST(Slice, RangesPartitionExactly)
-{
-    // Exact boundaries: shards cover [0, total) with no overlap or
-    // gap, and non-divisible totals split with sizes differing by at
-    // most one.
-    for (u64 total : {1ull, 7ull, 16ull, 64ull, 100ull}) {
-        for (u64 shards : {1ull, 2ull, 3ull, 5ull, 8ull}) {
-            if (shards > total)
-                continue;
-            u64 expect_begin = 0;
-            for (u64 s = 0; s < shards; ++s) {
-                auto [begin, count] =
-                    Database::sliceRange(total, s, shards);
-                EXPECT_EQ(begin, expect_begin)
-                    << total << "/" << shards << " shard " << s;
-                u64 lo = total / shards;
-                EXPECT_TRUE(count == lo || count == lo + 1)
-                    << total << "/" << shards << " shard " << s
-                    << " count " << count;
-                expect_begin = begin + count;
-            }
-            EXPECT_EQ(expect_begin, total)
-                << total << "/" << shards;
-        }
-    }
-}
-
-TEST(Slice, CopiesGlobalRecordsIntact)
-{
-    PirParams params = smallParams(4, 2, /*planes=*/2); // 16 records
-    HeContext ctx(params.he);
-    Database full = Database::random(ctx, params, 99);
-
-    // Three shards of a 16-record store: 5 + 5 + 6, non-divisible.
-    u64 covered = 0;
-    for (u64 s = 0; s < 3; ++s) {
-        Database slice = full.slice(s, 3);
-        EXPECT_EQ(slice.firstEntry(), covered);
-        covered += slice.numEntries();
-        EXPECT_EQ(slice.totalEntries(), full.numEntries());
-        for (u64 e = slice.firstEntry();
-             e < slice.firstEntry() + slice.numEntries(); ++e) {
-            for (int plane = 0; plane < params.planes; ++plane)
-                EXPECT_EQ(slice.entryCoeffs(e, plane),
-                          full.entryCoeffs(e, plane))
-                    << "record " << e << " plane " << plane;
-        }
-    }
-    EXPECT_EQ(covered, full.numEntries());
-}
-
-TEST(Slice, FillMatchesSliceOfFullDatabase)
-{
-    // Filling a shard-constructed slice with a global-id generator
-    // produces the same records as slicing a filled full database.
-    PirParams params = smallParams(4, 2); // 16 records, 4 columns
-    HeContext ctx(params.he);
-    Database full(ctx, params);
-    full.fill(contentGenerator(params));
-
-    Database sliced = full.slice(1, 2);
-    Database direct(ctx, params, sliced.firstEntry(),
-                    sliced.numEntries());
-    direct.fill(contentGenerator(params));
-    for (u64 e = direct.firstEntry();
-         e < direct.firstEntry() + direct.numEntries(); ++e)
-        EXPECT_EQ(direct.entryCoeffs(e), sliced.entryCoeffs(e));
-}
-
-TEST(Slice, RandomContentIsSliceConsistent)
-{
-    // Database::random content is a pure function of (seed, entry,
-    // plane), so a shard filled independently agrees with the full DB.
-    PirParams params = smallParams(4, 2, /*planes=*/2);
-    HeContext ctx(params.he);
-    Database full = Database::random(ctx, params, 7);
-    Database slice = Database::random(ctx, params, 7).slice(2, 4);
-    for (u64 e = slice.firstEntry();
-         e < slice.firstEntry() + slice.numEntries(); ++e)
-        EXPECT_EQ(slice.entryCoeffs(e, 1), full.entryCoeffs(e, 1));
-}
-
 // ------------------------------------------------------------- topology
 
 TEST(Shard, RejectsBadTopology)
 {
     PirParams params = smallParams(8, 2); // 4 columns
+    ClientSession client(params, 3);
+    HeContext ctx(params.he);
+    Database db(ctx, params);
+    PirPublicKeys keys =
+        deserializeCompatibleKeys(ctx, params, client.keyBlob());
+    auto engine = [&](u32 shard, u32 num_shards) {
+        return PirServer(ctx, params, &db, keys, shard, num_shards);
+    };
     // Not a power of two.
-    EXPECT_THROW(ServerSession(params, 0, 3), std::invalid_argument);
+    EXPECT_THROW(engine(0, 3), std::invalid_argument);
     // More shards than ColTor columns.
-    EXPECT_THROW(ServerSession(params, 0, 8), std::invalid_argument);
+    EXPECT_THROW(engine(0, 8), std::invalid_argument);
     // Shard index out of range.
-    EXPECT_THROW(ServerSession(params, 4, 4), std::invalid_argument);
+    EXPECT_THROW(engine(4, 4), std::invalid_argument);
     // Zero shards.
-    EXPECT_THROW(ServerSession(params, 0, 0), std::invalid_argument);
-    // The coordinator surfaces the same validation.
+    EXPECT_THROW(engine(0, 0), std::invalid_argument);
+    // The coordinator surfaces the same validation before any keys.
     EXPECT_THROW(ShardCoordinator(params, 3), std::invalid_argument);
     // Valid corner: one shard per column.
-    EXPECT_NO_THROW(ServerSession(params, 3, 4));
+    EXPECT_NO_THROW(engine(3, 4));
 }
 
-TEST(Shard, ShardSessionAnswersWithItsPartialResponse)
+TEST(Shard, SliceEngineAnswersWithItsPartialResponse)
 {
     PirParams params = smallParams(8, 2, /*planes=*/2); // 4 columns
     Reference ref(params);
     std::vector<u8> query = ref.client.queryBlob(3);
     auto coord = makeCoordinator(ref, 2);
 
-    // A shard session's answer() is its slice's PartialResponse: the
-    // shard index and count come from the slice position, the planes
-    // are the slice-local partials the coordinator folds.
+    // A slice engine's answerQuery is its slice's PartialResponse: the
+    // shard index and count come from the engine, the planes are the
+    // slice-local partials the coordinator folds.
+    HeContext ctx(params.he);
+    Database db(ctx, params);
+    db.fill(contentGenerator(params));
+    PirPublicKeys keys =
+        deserializeCompatibleKeys(ctx, params, ref.client.keyBlob());
     for (u32 s = 0; s < 2; ++s) {
-        ServerSession shard(params, s, 2);
-        shard.database().fill(contentGenerator(params));
-        shard.ingestKeys(ref.client.keyBlob());
-        std::vector<u8> blob = shard.answer(query);
-        PirPartialResponse p =
-            deserializePartialResponse(shard.context(), blob);
+        PirServer engine(ctx, params, &db, keys, s, 2);
+        EXPECT_EQ(engine.shard(), s);
+        EXPECT_EQ(engine.numShards(), 2u);
+        std::vector<u8> blob = answerQuery(engine, query);
+        PirPartialResponse p = deserializePartialResponse(ctx, blob);
         EXPECT_EQ(p.shard, s);
         EXPECT_EQ(p.numShards, 2u);
         EXPECT_EQ(p.planes.size(), 2u);
-        EXPECT_EQ(blob, coord->shard(s).answer(query)) << "shard " << s;
+        EXPECT_EQ(blob, coord->answerSlice(s, query)) << "shard " << s;
     }
 }
 
@@ -298,7 +226,7 @@ TEST(Shard, FoldPartialsRejectsHostileSets)
 
     std::vector<std::vector<u8>> partials;
     for (u32 s = 0; s < 4; ++s)
-        partials.push_back(coord->shard(s).answer(query));
+        partials.push_back(coord->answerSlice(s, query));
 
     // The complete, honest set folds to the single-server answer.
     EXPECT_EQ(coord->foldPartials(query, partials),
@@ -319,7 +247,7 @@ TEST(Shard, FoldPartialsRejectsHostileSets)
     // Partial from a different deployment width.
     auto two = makeCoordinator(ref, 2);
     auto wrong_width = partials;
-    wrong_width[0] = two->shard(0).answer(query);
+    wrong_width[0] = two->answerSlice(0, query);
     EXPECT_THROW((void)coord->foldPartials(query, wrong_width),
                  SerializeError);
 
@@ -337,10 +265,10 @@ TEST(Shard, FoldPartialsRejectsHostileSets)
     big.he.n = 512;
     Reference big_ref(big, 5);
     ShardCoordinator big_coord(big_ref.client.paramsBlob(), 4);
-    big_coord.fillDatabase(contentGenerator(big));
+    big_coord.database().fill(contentGenerator(big));
     big_coord.ingestKeys(big_ref.client.keyBlob());
     auto alien = partials;
-    alien[1] = big_coord.shard(1).answer(big_ref.client.queryBlob(9));
+    alien[1] = big_coord.answerSlice(1, big_ref.client.queryBlob(9));
     EXPECT_THROW((void)coord->foldPartials(query, alien),
                  SerializeError);
 }
@@ -350,7 +278,7 @@ TEST(Shard, FoldBeforeKeyIngestThrows)
     PirParams params = smallParams(8, 2);
     Reference ref(params);
     ShardCoordinator coord(ref.client.paramsBlob(), 2);
-    coord.fillDatabase(contentGenerator(params));
+    coord.database().fill(contentGenerator(params));
     EXPECT_THROW((void)coord.answer(ref.client.queryBlob(0)),
                  std::logic_error);
 }
@@ -406,13 +334,8 @@ TEST(Shard, SummaryAggregatesAcrossShardsCumulatively)
     EXPECT_EQ(s.broadcastBytes,
               kShards * (q1.size() + q2.size()));
     std::vector<u8> partial =
-        coord->shard(0).answer(q1); // same size every shard
+        coord->answerSlice(0, q1); // same size every shard
     EXPECT_EQ(s.gatherBytes, 2 * kShards * partial.size());
-
-    // Per-shard traffic counters are cumulative too.
-    ShardTraffic t = coord->shard(0).traffic();
-    EXPECT_EQ(t.queries, 3u); // 2 coordinated + 1 direct above
-    EXPECT_EQ(t.responseBytes, 3 * partial.size());
     (void)r1;
 }
 
