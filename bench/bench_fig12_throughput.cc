@@ -5,21 +5,100 @@
  * 2 / 4 / 8 GB synthesized databases.
  *
  * The CPU row is *measured*: the functional OnionPIR-style pipeline
- * runs on this host over a resident-size database, then the linear
- * phases are extrapolated to the target size and scaled by 32 cores
- * (queries and database rows are embarrassingly parallel; see
- * EXPERIMENTS.md). GPU rows use the roofline model; IVE rows use the
- * cycle-level simulator.
+ * runs one query on this host over a resident-size database, each
+ * stage timed by the ive_stage_latency_ns histogram it records into.
+ * Each stage is then scaled to the target by the work it grows with:
+ * RowSel by entries x planes, ColTor by folds (2^d - 1) x planes,
+ * expansion by the expansion tree size 2^depth, and selector assembly
+ * by d x ell. The sum is divided by 32 for a 32-core CPU, since
+ * queries and database rows are independent. GPU rows use the
+ * roofline model; IVE rows use the cycle-level simulator.
  */
 
 #include <cstdio>
+#include <vector>
 
 #include "common/units.hh"
 #include "model/roofline.hh"
-#include "pir/batch.hh"
+#include "obs/metrics.hh"
+#include "pir/server.hh"
 #include "sim/accelerator.hh"
 
 using namespace ive;
+
+namespace {
+
+/** Wall-clock seconds per pipeline stage for one query. */
+struct CpuPhaseTimes
+{
+    double expandSec = 0.0;
+    double selectorSec = 0.0;
+    double rowselSec = 0.0;
+    double coltorSec = 0.0;
+
+    double
+    totalSec() const
+    {
+        return expandSec + selectorSec + rowselSec + coltorSec;
+    }
+};
+
+/**
+ * Seconds fn() adds to the sum of a stage's latency histogram: one
+ * call's time as the stage itself records it.
+ */
+template <typename Fn>
+double
+stageSec(const char *stage, Fn &&fn)
+{
+    obs::Histogram &h = obs::Registry::global().histogram(stage);
+    const u64 before = h.snapshot().sum;
+    fn();
+    return static_cast<double>(h.snapshot().sum - before) / 1e9;
+}
+
+/**
+ * Scales measured stage times to a target parameter set by the work
+ * each stage grows with (see the file comment) and divides by
+ * core_scale cores.
+ */
+CpuPhaseTimes
+extrapolateCpu(const CpuPhaseTimes &measured,
+               const PirParams &measured_params,
+               const PirParams &target_params, double core_scale)
+{
+    auto ratio = [](double target, double base) {
+        return base > 0 ? target / base : 0.0;
+    };
+
+    double entries_r =
+        ratio(static_cast<double>(target_params.numEntries()) *
+                  target_params.planes,
+              static_cast<double>(measured_params.numEntries()) *
+                  measured_params.planes);
+    double folds_r =
+        ratio(static_cast<double>((u64{1} << target_params.d) - 1) *
+                  target_params.planes,
+              static_cast<double>((u64{1} << measured_params.d) - 1) *
+                  measured_params.planes);
+    double expand_r =
+        ratio(static_cast<double>(u64{1} << target_params.expansionDepth()),
+              static_cast<double>(u64{1}
+                                  << measured_params.expansionDepth()));
+    double sel_r = ratio(static_cast<double>(target_params.d) *
+                             target_params.he.ellRgsw,
+                         static_cast<double>(measured_params.d) *
+                             measured_params.he.ellRgsw);
+
+    CpuPhaseTimes out;
+    out.expandSec = measured.expandSec * expand_r / core_scale;
+    out.selectorSec = measured.selectorSec * sel_r / core_scale;
+    out.rowselSec = measured.rowselSec * entries_r / core_scale;
+    out.coltorSec = measured.coltorSec * folds_r / core_scale;
+    return out;
+}
+
+} // namespace
 
 int
 main()
@@ -32,7 +111,24 @@ main()
     Database db = Database::random(ctx, meas, 2);
     PirServer server(ctx, meas, &db, client.genPublicKeys());
     PirQuery q = client.makeQuery(3);
-    CpuPhaseTimes cpu_small = measureCpuQuery(server, q);
+
+    // Expansion and selector assembly run unfused, so each stage's
+    // histogram times it alone.
+    namespace names = obs::names;
+    CpuPhaseTimes cpu_small;
+    std::vector<RgswCiphertext> none, selectors;
+    std::vector<BfvCiphertext> leaves, entries;
+    cpu_small.expandSec = stageSec(names::kStageExpand, [&] {
+        leaves = server.expandAndSelect(q, 0, 0, none);
+    });
+    cpu_small.selectorSec = stageSec(names::kStageSelectors, [&] {
+        selectors = server.buildSelectors(leaves, 0, meas.d);
+    });
+    cpu_small.rowselSec = stageSec(names::kStageRowsel,
+                                   [&] { entries = server.rowSel(leaves); });
+    cpu_small.coltorSec = stageSec(names::kStageFold, [&] {
+        (void)server.colTor(std::move(entries), selectors);
+    });
     std::printf("CPU measurement (n=4096, %llu entries): expand %.2fs "
                 "sel %.2fs rowsel %.3fs coltor %.3fs\n\n",
                 (unsigned long long)meas.numEntries(),

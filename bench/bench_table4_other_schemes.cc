@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/units.hh"
-#include "pir/batch.hh"
+#include "pir/kspir.hh"
 #include "pir/simplepir.hh"
 #include "sim/accelerator.hh"
 
@@ -55,8 +55,8 @@ double
 ksPirCpuSeconds(u64 db_bytes)
 {
     // Measure the full pipeline on a small instance with the same ring
-    // and extrapolate the linear phases (as for Fig. 12; see
-    // EXPERIMENTS.md).
+    // and scale the whole query by the entry count: RowSel and ColTor
+    // dominate the small run and grow with the database.
     KsPirParams meas;
     meas.base = PirParams::functionalDefault();
     meas.base.d0 = 64;

@@ -6,8 +6,7 @@
 # tier1 = everything, slow = full-pipeline crypto suites, thread = the
 # suites the TSan stage exercises.
 #
-# Usage: scripts/ci.sh [--quick] [--skip-sanitize] [--static]
-#                      [--faults] [--serve]
+# Usage: scripts/ci.sh [--quick] [--skip-sanitize] [--static] [--faults]
 #   --quick          run only `-L tier1 -LE slow` (fast edit loop;
 #                    also skips the static, faults, checked-build, and
 #                    TSan stages)
@@ -17,16 +16,6 @@
 #                    clang thread-safety build, clang-tidy) and exit
 #   --faults         run ONLY the fault-injection stage (see below) and
 #                    exit; the stage is part of the default full run
-#   --serve          run ONLY the network-serving stage (see below) and
-#                    exit; the stage is part of the default full run
-#
-# The serve stage (scripts/ci.sh --serve, or any full run) starts the
-# epoll TCP server on loopback and drives it with the bench_serve load
-# generator in --check mode, which compares every socket response
-# byte-for-byte against the in-process ServerSession::answer() path.
-# It runs once clean and once under the standard net.* failpoint
-# recipe (short writes + read stalls — the connection-preserving
-# faults): the recipe must change latency, never bytes.
 #
 # The faults stage (scripts/ci.sh --faults, or any full run) arms
 # IVE_FAILPOINTS chaos recipes in the environment and re-runs tests
@@ -37,6 +26,9 @@
 # a test body and break determinism), then `bench_e2e_query --quick
 # --inject`, which drives 2 shards x 2 replicas of the optimized build
 # under shard.answer.delay/error and exits 1 on any byte divergence.
+# The connection-preserving net.* recipe (short writes plus read
+# stalls) is pinned by test_net's NetFailpoints suite, which every
+# tier-1 and TSan run includes.
 #
 # The static stage is part of the default full run. The clang-based
 # legs (thread-safety analysis, clang-tidy) self-skip with a log line
@@ -77,7 +69,6 @@ SKIP_SANITIZE=0
 QUICK=0
 STATIC_ONLY=0
 FAULTS_ONLY=0
-SERVE_ONLY=0
 CTEST_SELECT=(-L tier1)
 for arg in "$@"; do
     case "$arg" in
@@ -85,7 +76,6 @@ for arg in "$@"; do
         --skip-sanitize) SKIP_SANITIZE=1 ;;
         --static) STATIC_ONLY=1 ;;
         --faults) FAULTS_ONLY=1 ;;
-        --serve) SERVE_ONLY=1 ;;
         *) echo "unknown argument: $arg" >&2; exit 2 ;;
     esac
 done
@@ -95,10 +85,6 @@ done
 # recipe adds shard errors, which test_fault is written to tolerate.
 FAULTS_DELAY_RECIPE="shard.answer.delay=every:7,arg=2"
 FAULTS_FULL_RECIPE="shard.answer.delay=every:5,arg=2;shard.answer.error=nth:3"
-# Connection-preserving network faults (README "Network serving"):
-# truncated send()s and stalled reads reorder nothing and corrupt
-# nothing, so bench_serve --check must stay byte-identical under them.
-NET_FAULTS_RECIPE="net.write.short=every:3,arg=64;net.read.stall=every:7,arg=2"
 
 run_faults_stage() {
     echo "=== faults: quick tier-1 under delay-only IVE_FAILPOINTS ==="
@@ -110,14 +96,6 @@ run_faults_stage() {
         ctest --test-dir build --output-on-failure -R '^test_fault$'
     echo "=== faults: replicated failover, bench_e2e_query --inject ==="
     (cd build/bench && ./bench_e2e_query --quick --inject --out /dev/null)
-}
-
-run_serve_stage() {
-    echo "=== serve: loopback load generator, clean ==="
-    (cd build/bench && ./bench_serve --quick --check --out serve_clean.json)
-    echo "=== serve: load generator under the net.* failpoint recipe ==="
-    (cd build/bench && IVE_FAILPOINTS="$NET_FAULTS_RECIPE" \
-        ./bench_serve --quick --check --out serve_faults.json)
 }
 
 run_static_stage() {
@@ -156,15 +134,6 @@ run_static_stage() {
 if [ "$STATIC_ONLY" -eq 1 ]; then
     run_static_stage
     echo "=== static stage passed ==="
-    exit 0
-fi
-
-if [ "$SERVE_ONLY" -eq 1 ]; then
-    echo "=== serve: Release build ==="
-    cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-    cmake --build build -j "$JOBS"
-    run_serve_stage
-    echo "=== serve stage passed ==="
     exit 0
 fi
 
@@ -209,7 +178,6 @@ ctest --test-dir build --output-on-failure -j "$JOBS" "${CTEST_SELECT[@]}"
 
 if [ "$QUICK" -eq 0 ]; then
     run_faults_stage
-    run_serve_stage
 fi
 
 echo "=== perf smoke: bench_e2e_query --quick (Release, NDEBUG) ==="
@@ -276,7 +244,7 @@ if [ "$QUICK" -eq 0 ]; then
     # The scalar backend audits every documented lazy-range bound
     # (src/poly/simd/kernels_scalar.cc); forcing scalar dispatch runs
     # the whole pipeline through the audited kernels, including the
-    # segmented RowSel merge's per-partial contract (acc >> 64 < 2^32
+    # RowSel merge's per-partial contract (acc >> 64 < 2^32
     # before mergeMacPartial, kernels.hh). test_contracts additionally
     # proves the audits *fire* on corrupted values.
     cmake -B build-checked -S . -DCMAKE_BUILD_TYPE=Release \

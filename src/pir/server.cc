@@ -53,20 +53,29 @@ stageMetrics()
 }
 
 /**
- * Outer-loop dispatch for pipeline stages whose trip count can drop
- * below the pool size (early expansion levels, late tournament depths,
- * planes): when the count cannot fill the lanes and the caller is not
- * already a pool worker, run the loop serially so the per-op
- * parallelism inside subsInto / externalProductInto / decomposePolyInto
- * engages at top level; otherwise dispatch across the pool and let the
- * per-op layers run inline as before. Either way each index writes only
- * its own slots, so results are byte-identical.
+ * The wide rule for pipeline stages whose trip count can drop below
+ * the pool size (early expansion levels, late tournament depths,
+ * planes, RowSel columns): a loop runs serially when its count cannot
+ * fill the lanes and the caller is not already a pool worker, so the
+ * parallelism inside each iteration (subsInto / externalProductInto /
+ * decomposePolyInto, RowSel's row segments) engages at top level.
+ */
+bool
+runsSerially(u64 count)
+{
+    return !ThreadPool::onWorkerThread() &&
+           count < static_cast<u64>(ThreadPool::global().size());
+}
+
+/**
+ * Outer-loop dispatch under the wide rule: serial, or across the pool
+ * with the per-op layers inline. Each index writes only its own slots,
+ * so results are byte-identical either way.
  */
 void
 wideFor(u64 count, const std::function<void(u64)> &fn)
 {
-    if (!ThreadPool::onWorkerThread() &&
-        count < static_cast<u64>(ThreadPool::global().size())) {
+    if (runsSerially(count)) {
         for (u64 i = 0; i < count; ++i)
             fn(i);
     } else {
@@ -313,44 +322,57 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
     StageMetrics &sm = stageMetrics();
     obs::StageSpan span(&sm.rowsel, "rowsel");
     ive_assert(leaves.size() >= params_.d0);
-    u64 cols = localColumns();
-    u64 first = shard_ * cols * params_.d0;
-
-    // Columns are independent; within one column the accumulation
-    // order is fixed, so the output is identical at any thread count.
-    // Per column, the D0-long plainMulAcc chain accumulates raw u128
-    // products and defers the Barrett reduction to one final pass per
-    // output word (fused primes).
     const Ring &ring = ctx_.ring();
     const u64 n = ring.n;
     const int nk = ring.k();
     const u64 words = ring.words();
     const u64 d0 = params_.d0;
+    const u64 cols = localColumns();
+    const u64 first = shard_ * cols * d0;
 
-    // When whole columns cannot fill the lanes (shard slices, small d),
-    // split each column's D0-long chain into per-segment partial
-    // accumulators and merge them with one deferred reduction. u128
-    // accumulation is exact and modular addition is associative, so the
-    // merged total equals the unsplit chain bit-for-bit.
-    u64 segs = 1;
-    const u64 pool =
-        static_cast<u64>(ThreadPool::global().size());
-    if (!ThreadPool::onWorkerThread() && cols < pool) {
-        u64 want = divCeil(2 * pool, cols);
-        segs = want < d0 ? want : d0;
-    }
+    // Each column's D0-long plainMulAcc chain runs as segs contiguous
+    // row segments, each accumulating raw u128 products (fused primes)
+    // or canonical sums (strict primes), and one merge per column pays
+    // the chain's deferred reduction. Columns run in passes of width
+    // columns under the wide rule. When whole columns fill the lanes,
+    // segs and width are 1 and the passes spread over the pool. When
+    // they cannot (shard slices, small d), one pass holds every column
+    // and splits it into enough segments that the pass's cols * segs
+    // tasks (about 2 * lanes) fill the pool. u128 accumulation is exact
+    // and modular addition is associative, so the result is identical
+    // at any segs and any thread count.
+    const u64 lanes = static_cast<u64>(ThreadPool::global().size());
+    const bool narrow = runsSerially(cols);
+    const u64 segs = narrow ? std::min(d0, divCeil(2 * lanes, cols)) : 1;
+    const u64 width = narrow ? cols : 1;
 
     std::vector<BfvCiphertext> out(cols);
-    if (segs <= 1) {
-        parallelFor(0, cols, [&](u64 r) {
-            PolyWorkspace &ws = PolyWorkspace::local();
-            BfvCiphertext acc;
-            acc.a = RnsPoly(ring, Domain::Ntt);
-            acc.b = RnsPoly(ring, Domain::Ntt);
-            AccLease mac(ws, 2 * words);
-            u128 *acc_a = mac.data();
-            u128 *acc_b = mac.data() + words;
-            for (u64 i = 0; i < d0; ++i) {
+    wideFor(cols / width, [&](u64 pass) {
+        // Task t (column t / segs of the pass, segment t % segs) owns
+        // 2*words u128 sums and 2*words strict words, a side then b,
+        // leased from the thread that runs the pass: one column's worth
+        // per pool worker, or width * segs < 3 * lanes segments' worth
+        // for the narrow pass.
+        PolyWorkspace &ws = PolyWorkspace::local();
+        AccLease mac(ws, width * segs * 2 * words);
+        WordLease strict(ws, width * segs * 2 * words);
+        parallelFor(0, width * segs, [&](u64 t) {
+            const u64 r = pass * width + t / segs;
+            const u64 s = t % segs;
+            u128 *acc_a = mac.data() + t * 2 * words;
+            u128 *acc_b = acc_a + words;
+            u64 *dst_a = strict.data() + t * 2 * words;
+            u64 *dst_b = dst_a + words;
+            for (int p = 0; p < nk; ++p) {
+                const Modulus &mod = ring.base.modulus(p);
+                kernels::chainMacBegin(mod, n,
+                                       dst_a + static_cast<u64>(p) * n);
+                kernels::chainMacBegin(mod, n,
+                                       dst_b + static_cast<u64>(p) * n);
+            }
+            // Boundaries depend only on (d0, segs); segs <= d0 keeps
+            // every segment non-empty.
+            for (u64 i = s * d0 / segs; i < (s + 1) * d0 / segs; ++i) {
                 const RnsPoly &entry =
                     db_->entry(first + r * d0 + i, plane);
                 const BfvCiphertext &leaf = leaves[i];
@@ -359,117 +381,49 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
                     const u64 *pe = entry.residues(p).data();
                     kernels::chainMacAcc(mod, n,
                                          acc_a + static_cast<u64>(p) * n,
-                                         acc.a.residues(p).data(), pe,
-                                         leaf.a.residues(p).data());
+                                         dst_a + static_cast<u64>(p) * n,
+                                         pe, leaf.a.residues(p).data());
                     kernels::chainMacAcc(mod, n,
                                          acc_b + static_cast<u64>(p) * n,
-                                         acc.b.residues(p).data(), pe,
-                                         leaf.b.residues(p).data());
+                                         dst_b + static_cast<u64>(p) * n,
+                                         pe, leaf.b.residues(p).data());
                 }
             }
-            for (int p = 0; p < nk; ++p) {
-                const Modulus &mod = ring.base.modulus(p);
-                kernels::chainMacFinish(mod, n,
-                                        acc_a + static_cast<u64>(p) * n,
-                                        acc.a.residues(p).data(), false);
-                kernels::chainMacFinish(mod, n,
-                                        acc_b + static_cast<u64>(p) * n,
-                                        acc.b.residues(p).data(), false);
-            }
-            out[r] = std::move(acc);
         });
-        counters_.plainMulAccs.fetch_add(cols * d0,
-                                         std::memory_order_relaxed);
-        sm.plainMulAccs.add(cols * d0);
-        return out;
-    }
 
-    // Segmented path. Partials outlive the task that produced them (the
-    // merge runs on a different thread), so they live in one block
-    // leased by the coordinating thread, not in per-worker pools.
-    // Slice (r, s) = task r*segs + s holds 2*words u128 planes (fused
-    // primes) and 2*words u64 planes (strict primes), a side then b.
-    PolyWorkspace &ws = PolyWorkspace::local();
-    AccLease mac(ws, cols * segs * 2 * words);
-    WordLease strict(ws, cols * segs * 2 * words);
-
-    // Phase A: each (column, segment) task accumulates its row range.
-    // Segment boundaries depend only on (d0, segs) — deterministic and
-    // balanced; segs <= d0 keeps every segment non-empty.
-    parallelFor(0, cols * segs, [&](u64 task) {
-        u64 r = task / segs;
-        u64 s = task % segs;
-        u64 row_from = s * d0 / segs;
-        u64 row_to = (s + 1) * d0 / segs;
-        u128 *acc_a = mac.data() + task * 2 * words;
-        u128 *acc_b = acc_a + words;
-        u64 *dst_a = strict.data() + task * 2 * words;
-        u64 *dst_b = dst_a + words;
-        for (int p = 0; p < nk; ++p) {
-            const Modulus &mod = ring.base.modulus(p);
-            kernels::chainMacBegin(mod, n,
-                                   dst_a + static_cast<u64>(p) * n);
-            kernels::chainMacBegin(mod, n,
-                                   dst_b + static_cast<u64>(p) * n);
-        }
-        for (u64 i = row_from; i < row_to; ++i) {
-            const RnsPoly &entry =
-                db_->entry(first + r * d0 + i, plane);
-            const BfvCiphertext &leaf = leaves[i];
+        // Merge each column's segments in ascending order per (side,
+        // prime) plane; mergeMacPartial audits the per-partial headroom
+        // contract in checked builds. One task per (column, side)
+        // output polynomial, so the narrow pass's width * 2 outputs
+        // spread over the pool; a one-column pass runs inline.
+        parallelFor(0, width * 2, [&](u64 j) {
+            BfvCiphertext &acc = out[pass * width + j / 2];
+            RnsPoly &poly = j % 2 == 0 ? acc.a : acc.b;
+            poly = RnsPoly(ring, Domain::Ntt);
             for (int p = 0; p < nk; ++p) {
                 const Modulus &mod = ring.base.modulus(p);
-                const u64 *pe = entry.residues(p).data();
-                kernels::chainMacAcc(mod, n,
-                                     acc_a + static_cast<u64>(p) * n,
-                                     dst_a + static_cast<u64>(p) * n,
-                                     pe, leaf.a.residues(p).data());
-                kernels::chainMacAcc(mod, n,
-                                     acc_b + static_cast<u64>(p) * n,
-                                     dst_b + static_cast<u64>(p) * n,
-                                     pe, leaf.b.residues(p).data());
-            }
-        }
-    });
-
-    // Phase B: per column, merge segments in ascending order and pay
-    // the chain's single deferred reduction on the merged total (fused)
-    // or sum the canonical partials (strict). mergeMacPartial audits
-    // the per-partial headroom contract in checked builds.
-    parallelFor(0, cols, [&](u64 r) {
-        BfvCiphertext acc;
-        acc.a = RnsPoly(ring, Domain::Ntt);
-        acc.b = RnsPoly(ring, Domain::Ntt);
-        for (int side = 0; side < 2; ++side) {
-            RnsPoly &out_poly = side == 0 ? acc.a : acc.b;
-            const u64 base = r * segs * 2 * words +
-                             static_cast<u64>(side) * words;
-            for (int p = 0; p < nk; ++p) {
-                const Modulus &mod = ring.base.modulus(p);
-                const u64 off = static_cast<u64>(p) * n;
-                u64 *dst = out_poly.residues(p).data();
+                const u64 off = j / 2 * segs * 2 * words +
+                                j % 2 * words + static_cast<u64>(p) * n;
+                u64 *dst = poly.residues(p).data();
                 if (kernels::fusedMacOk(mod)) {
-                    u128 *total = mac.data() + base + off;
+                    u128 *total = mac.data() + off;
                     kernels::auditMacPartial(total, n);
                     for (u64 s = 1; s < segs; ++s)
                         kernels::mergeMacPartial(
-                            total, mac.data() + base + s * 2 * words + off,
-                            n);
+                            total, mac.data() + s * 2 * words + off, n);
                     kernels::macReduce(dst, total, n, mod);
                 } else {
-                    const u64 *part0 = strict.data() + base + off;
+                    const u64 *part0 = strict.data() + off;
                     std::copy(part0, part0 + n, dst);
                     for (u64 s = 1; s < segs; ++s)
                         kernels::addVec(
-                            dst,
-                            strict.data() + base + s * 2 * words + off,
-                            n, mod.value());
+                            dst, strict.data() + s * 2 * words + off, n,
+                            mod.value());
                 }
             }
-        }
-        out[r] = std::move(acc);
+        });
     });
-    counters_.plainMulAccs.fetch_add(cols * d0,
-                                     std::memory_order_relaxed);
+    counters_.plainMulAccs.fetch_add(cols * d0, std::memory_order_relaxed);
     sm.plainMulAccs.add(cols * d0);
     return out;
 }

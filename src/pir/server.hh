@@ -140,6 +140,11 @@ class PirServer
     /**
      * RowSel over one plane: one accumulated ciphertext per local
      * database column (2^d for the whole store, fewer for a slice).
+     * One loop: columns follow the wide rule, each column's D0-long
+     * MAC chain runs as segs row segments (1 unless the columns cannot
+     * fill the lanes, in which case one pass of all columns' segments
+     * fills the pool), and one ascending merge per column pays the
+     * chain's deferred reduction. Identical at any thread count.
      */
     std::vector<BfvCiphertext>
     rowSel(const std::vector<BfvCiphertext> &leaves, int plane = 0) const;

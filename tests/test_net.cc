@@ -804,6 +804,60 @@ TEST(NetFailpoints, ReadStallsStayByteIdentical)
     }
 }
 
+TEST(NetFailpoints, ConcurrentConnectionsStayByteIdentical)
+{
+    // Eight connections on eight threads query one registered client at
+    // once, so the event loop interleaves their frames and the
+    // dispatcher serves them from one queue. Run clean, then under the
+    // connection-preserving recipe (short writes and read stalls
+    // together): every response must equal the in-process answer.
+    NetFixture f;
+    ClientSession cl(f.params, 7);
+    RefServer ref(cl);
+    const u64 gen = f.connect().registerKeys(7, cl.paramsBlob(),
+                                             cl.keyBlob());
+
+    const u64 entries = f.params.numEntries();
+    std::vector<std::vector<u8>> queries, want;
+    for (u64 entry = 0; entry < entries; ++entry) {
+        queries.push_back(cl.queryBlob(entry));
+        want.push_back(ref.answer(queries.back()));
+    }
+
+    constexpr u64 kConnections = 8;
+    constexpr u64 kQueriesPerConnection = 4;
+    auto drive = [&] {
+        std::atomic<int> bad{0};
+        std::vector<std::thread> threads;
+        for (u64 t = 0; t < kConnections; ++t) {
+            threads.emplace_back([&, t] {
+                try {
+                    PirTcpClient tcp = f.connect();
+                    for (u64 i = 0; i < kQueriesPerConnection; ++i) {
+                        u64 entry = (t * kQueriesPerConnection + i) % entries;
+                        if (tcp.query(7, gen, queries[entry]) !=
+                            want[entry])
+                            ++bad;
+                    }
+                } catch (const std::exception &e) {
+                    ADD_FAILURE() << "connection " << t << ": " << e.what();
+                    ++bad;
+                }
+            });
+        }
+        for (std::thread &th : threads)
+            th.join();
+        return bad.load();
+    };
+
+    EXPECT_EQ(drive(), 0) << "clean run";
+    FailpointGuard guard("net.write.short=every:3,arg=64;"
+                         "net.read.stall=every:7,arg=2");
+    EXPECT_EQ(drive(), 0) << "under short writes and read stalls";
+    EXPECT_GT(fail::point("net.write.short").fires(), 0u);
+    EXPECT_GT(fail::point("net.read.stall").fires(), 0u);
+}
+
 TEST(NetFailpoints, ConnResetDropsConnectionButNotRegistry)
 {
     NetFixture f;

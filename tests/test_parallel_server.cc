@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "modmath/primes.hh"
 #include "pir/server.hh"
 
 using namespace ive;
@@ -116,23 +117,41 @@ TEST(ParallelServer, SingleQueryPipelineIdenticalAcrossThreadCounts)
 
 TEST(ParallelServer, SegmentedRowSelIdenticalWhenColumnsUnderfillPool)
 {
-    // cols = 2 with d0 = 32: far fewer columns than lanes, so the
-    // top-level RowSel splits each column's MAC chain into per-segment
-    // partial accumulators and merges them with one deferred reduce.
-    // The response must match the unsegmented 1-thread chain exactly.
-    PirParams params = smallParams(32, 1);
-    PirFixture f(params, 91);
-    PirQuery q = f.client.makeQuery(40);
+    // cols = 2 with d0 = 32 cannot fill 3 or 8 lanes, so RowSel splits
+    // each column's MAC chain into segment partials and merges them;
+    // cols = 4 with d0 = 16 runs whole columns on 3 lanes and segments
+    // on 8; cols = 8 with d0 = 16 runs whole columns. Either way the
+    // response must match the 1-thread chain exactly and decode. The
+    // mixed basis adds a prime >= 2^32 (simd::kFusedMacModulusBound),
+    // whose planes take the strict canonical branch of the chain and
+    // the merge.
+    const std::vector<u64> mixed = {kIvePrimes[0], kIvePrimes[1],
+                                    findNttPrimes(45, 256, 1)[0]};
+    for (bool strict : {false, true}) {
+        for (auto [d0, d] :
+             {std::pair<u64, int>{32, 1}, {16, 2}, {16, 3}}) {
+            PirParams params = smallParams(d0, d);
+            if (strict) {
+                params.he.primes = mixed;
+                params.he.plainModulus = u64{1} << 16;
+            }
+            PirFixture f(params, 91);
+            PirQuery q = f.client.makeQuery(40);
+            SCOPED_TRACE(testing::Message()
+                         << (strict ? "mixed" : "default") << " basis, d0 "
+                         << d0 << ", d " << d);
 
-    ThreadPool::setGlobalThreads(1);
-    BfvCiphertext base = answerOne(f.server, q);
-    for (int threads : {3, 8}) {
-        ThreadPool::setGlobalThreads(threads);
-        BfvCiphertext resp = answerOne(f.server, q);
-        EXPECT_TRUE(ctEqual(base, resp)) << threads << " threads";
+            ThreadPool::setGlobalThreads(1);
+            BfvCiphertext base = answerOne(f.server, q);
+            for (int threads : {3, 8}) {
+                ThreadPool::setGlobalThreads(threads);
+                BfvCiphertext resp = answerOne(f.server, q);
+                EXPECT_TRUE(ctEqual(base, resp)) << threads << " threads";
+            }
+            ThreadPool::setGlobalThreads(1);
+            EXPECT_EQ(f.client.decode(base), f.db.entryCoeffs(40));
+        }
     }
-    ThreadPool::setGlobalThreads(1);
-    EXPECT_EQ(f.client.decode(base), f.db.entryCoeffs(40));
 }
 
 TEST(ParallelServer, ExpandAndSelectMatchesSeparatePhases)
@@ -173,8 +192,8 @@ TEST(ParallelServer, StressConcurrentHostsHitSegmentedMerge)
 {
     // TSan stress for the per-thread partial-accumulator merge: several
     // host threads answer the same query through the shared global pool
-    // while cols < lanes keeps the segmented RowSel path hot. Any
-    // cross-thread race on the partial slices, the merge, or the
+    // while cols < lanes makes RowSel split every column into segments.
+    // Any cross-thread race on the partial slices, the merge, or the
     // workspace leases shows up under -L thread (scripts/ci.sh TSan
     // stage runs this binary).
     PirParams params = smallParams(32, 1);
