@@ -310,6 +310,14 @@ main(int argc, char **argv)
         coord.ingestKeys(key_blob);
         const std::vector<u8> want = session.answer(query_blob);
 
+        // Retries, failovers and sheds are read from the registry, the
+        // only store the coordinator and dispatcher count in.
+        const obs::Counter &retries = reg.counter(names::kShardRetries);
+        const obs::Counter &failovers = reg.counter(names::kFailovers);
+        const obs::Counter &shed = reg.counter(names::kQueriesShed);
+        const u64 retries0 = retries.value();
+        const u64 failovers0 = failovers.value();
+
         fail::armFromSpec(fr.recipe);
         fr.queries = quick ? 8 : 10;
         std::vector<double> lat_ms;
@@ -328,9 +336,8 @@ main(int argc, char **argv)
         }
         fr.faultsInjected = fail::point("shard.answer.delay").fires() +
                             fail::point("shard.answer.error").fires();
-        ShardCountersSummary sum = coord.summary();
-        fr.retries = sum.retries;
-        fr.failovers = sum.failovers;
+        fr.retries = retries.value() - retries0;
+        fr.failovers = failovers.value() - failovers0;
 
         // Overload burst through the bounded dispatcher: the window
         // stays open and the batch cannot fill, so admission sheds
@@ -340,6 +347,7 @@ main(int argc, char **argv)
         cfg.maxBatch = 8;
         cfg.maxQueue = 2;
         fr.burst = 8;
+        const u64 shed0 = shed.value();
         {
             ShardDispatcher dispatcher(cfg);
             std::vector<std::future<std::vector<u8>>> futures;
@@ -359,11 +367,11 @@ main(int argc, char **argv)
                     }
                     ++fr.answered;
                 } catch (const Overloaded &) {
-                    // Shed at admission; counted via stats below.
+                    // Shed at admission; counted by the registry.
                 }
             }
-            fr.shed = dispatcher.stats().shed;
         }
+        fr.shed = shed.value() - shed0;
         fail::disarmAll();
 
         std::sort(lat_ms.begin(), lat_ms.end());

@@ -88,8 +88,17 @@ main()
         return coeffs;
     });
     coord.ingestKeys(key_blob);
+    // The coordinator counts its traffic and work only in the
+    // process-wide registry; the growth around one answer is its cost.
+    obs::Registry &reg = obs::Registry::global();
+    const obs::Counter &broadcast =
+        reg.counter(obs::names::kShardBroadcastBytes);
+    const obs::Counter &gather = reg.counter(obs::names::kShardGatherBytes);
+    const obs::Counter &macs = reg.counter(obs::names::kOpsPlainMulAcc);
+    const obs::Counter &ext = reg.counter(obs::names::kOpsExternalProduct);
+    const u64 broadcast0 = broadcast.value(), gather0 = gather.value();
+    const u64 macs0 = macs.value(), ext0 = ext.value();
     std::vector<u8> sharded_blob = coord.answer(query_blob);
-    ShardCountersSummary sum = coord.summary();
     std::printf("4-shard retrieval: response %s the single-server "
                 "blob (%zu B)\n",
                 sharded_blob == response_blob ? "byte-identical to"
@@ -97,13 +106,13 @@ main()
                 sharded_blob.size());
     std::printf("  broadcast %llu B to %u shards, gathered %llu B of "
                 "partials\n",
-                (unsigned long long)sum.broadcastBytes, sum.numShards,
-                (unsigned long long)sum.gatherBytes);
-    std::printf("  shard ops: %llu MACs + %llu ext products; final "
-                "fold: %llu ext products\n\n",
-                (unsigned long long)sum.shardOps.plainMulAccs,
-                (unsigned long long)sum.shardOps.externalProducts,
-                (unsigned long long)sum.foldOps.externalProducts);
+                (unsigned long long)(broadcast.value() - broadcast0),
+                coord.numShards(),
+                (unsigned long long)(gather.value() - gather0));
+    std::printf("  shard and fold ops: %llu MACs + %llu ext "
+                "products\n\n",
+                (unsigned long long)(macs.value() - macs0),
+                (unsigned long long)(ext.value() - ext0));
     ok = ok && sharded_blob == response_blob;
 
     // ---- Telemetry: what the process recorded while serving ----

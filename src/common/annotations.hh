@@ -18,9 +18,9 @@
  * pattern). Code that wants the analysis must use these instead of the
  * raw std types.
  *
- * Atomics are deliberately not annotated: ServerCounters,
- * ShardCoordinator's traffic tallies and the PolyWorkspace stats are
- * std::atomic with relaxed ordering and need no capability. State that
+ * Atomics are deliberately not annotated: ServerCounters, the
+ * obs::Registry counters and the PolyWorkspace stats are std::atomic
+ * with relaxed ordering and need no capability. State that
  * is written once before concurrent readers start
  * (ServerSession::server_ and ShardCoordinator::engines_ via
  * ingestKeys) is documented at the member instead; annotating it would

@@ -256,16 +256,23 @@ PirTcpServer::stats() const
     return s;
 }
 
-void
-PirTcpServer::postCompletion(u64 conn_id, u64 seq,
-                             std::vector<u8> payload, bool is_error)
+ShardDispatcher::CompletionFn
+PirTcpServer::completionFor(u64 conn_id, u64 seq)
 {
-    {
-        LockGuard lk(outMu_);
-        outbox_.push_back(
-            Done{conn_id, seq, std::move(payload), is_error});
-    }
-    kick();
+    return [this, conn_id, seq](std::vector<u8> resp,
+                                std::exception_ptr err) {
+        const bool is_error = err != nullptr;
+        if (is_error) {
+            auto [code, msg] = classifyError(err);
+            resp = serializeErrorResponse(PirErrorResponse{code, msg});
+        }
+        {
+            LockGuard lk(outMu_);
+            outbox_.push_back(
+                Done{conn_id, seq, std::move(resp), is_error});
+        }
+        kick();
+    };
 }
 
 void
@@ -573,7 +580,6 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
         // Heavy: nested-blob parse, key normalization and engine
         // construction all run on the dispatch thread, not here.
         ++c.inFlight;
-        u64 conn_id = c.id;
         dispatcher_.submit(
             std::move(payload),
             [this](const std::vector<u8> &blob) -> std::vector<u8> {
@@ -582,19 +588,7 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
                     reg.clientId, reg.paramsBlob, reg.keyBlob);
                 return serializeHello(PirHello{reg.clientId, gen});
             },
-            [this, conn_id, seq](std::vector<u8> resp,
-                                 std::exception_ptr err) {
-                if (err) {
-                    auto [code, msg] = classifyError(err);
-                    postCompletion(conn_id, seq,
-                                   serializeErrorResponse(
-                                       PirErrorResponse{code, msg}),
-                                   true);
-                } else {
-                    postCompletion(conn_id, seq, std::move(resp),
-                                   false);
-                }
-            });
+            completionFor(c.id, seq));
         return true;
     }
     case WireKind::QueryRef: {
@@ -623,7 +617,6 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
             return true;
         }
         ++c.inFlight;
-        u64 conn_id = c.id;
         // The same answer path ServerSession::answer() runs, bound to
         // this client's registered engine. The engine shared_ptr pins
         // it across a concurrent LRU eviction.
@@ -632,19 +625,7 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
             [engine](const std::vector<u8> &blob) {
                 return answerQuery(*engine, blob);
             },
-            [this, conn_id, seq](std::vector<u8> resp,
-                                 std::exception_ptr err) {
-                if (err) {
-                    auto [code, msg] = classifyError(err);
-                    postCompletion(conn_id, seq,
-                                   serializeErrorResponse(
-                                       PirErrorResponse{code, msg}),
-                                   true);
-                } else {
-                    postCompletion(conn_id, seq, std::move(resp),
-                                   false);
-                }
-            });
+            completionFor(c.id, seq));
         return true;
     }
     default:

@@ -143,10 +143,6 @@ class PirTcpServer
 
     SessionRegistry &registry() { return registry_; }
     NetServerStats stats() const;
-    DispatcherStats dispatcherStats() const
-    {
-        return dispatcher_.stats();
-    }
 
   private:
     struct Connection
@@ -199,8 +195,12 @@ class PirTcpServer
     void enforceDeadlines(u64 now_ns);
     int epollTimeoutMs(u64 now_ns) const;
     void maybeFinishDrain();
-    void postCompletion(u64 conn_id, u64 seq, std::vector<u8> payload,
-                        bool is_error);
+    /**
+     * The dispatcher callback for request seq on connection conn_id:
+     * maps an error to its ErrorResponse, pushes the result to the
+     * outbox and wakes the loop. Runs on the dispatch thread.
+     */
+    ShardDispatcher::CompletionFn completionFor(u64 conn_id, u64 seq);
     void kick();
 
     NetServerConfig cfg_;

@@ -90,6 +90,10 @@ Registry::find(const std::string &name, Kind kind,
     } else if (it->second.kind != kind) {
         throw std::logic_error("obs::Registry: metric '" + name +
                                "' re-registered with a different kind");
+    } else if (it->second.help.empty()) {
+        // A reader (test, bench) may look a name up before the layer
+        // that records it; the recorder's help still renders.
+        it->second.help = help;
     }
     return it->second;
 }

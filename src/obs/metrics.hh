@@ -186,7 +186,8 @@ class Histogram
 /**
  * Named metric registry. counter()/gauge()/histogram() create on first
  * use and return the same stable reference afterwards (a name re-used
- * with a different kind throws std::logic_error). render*() walk every
+ * with a different kind throws std::logic_error; the first non-empty
+ * help string is kept). render*() walk every
  * registered metric, so one call reports op counts, traffic bytes and
  * stage latencies together.
  */

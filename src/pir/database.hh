@@ -13,8 +13,8 @@
  * selected by ColTor.
  *
  * A Database always holds the whole store. Engines share it read-only:
- * the registry's per-client engines and a shard coordinator's slice,
- * replica and fold engines all read one Database, and a record-axis
+ * the registry's per-client engines and a shard coordinator's slice
+ * and replica engines all read one Database, and a record-axis
  * shard (paper SV) is a property of the engine (PirServer's shard and
  * num_shards), not of the store.
  */

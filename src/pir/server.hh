@@ -38,22 +38,13 @@
 
 namespace ive {
 
-/** Plain cumulative totals: a copyable view of ServerCounters that
- *  the shard coordinator sums across engines (shard/coordinator.hh). */
+/** Plain cumulative totals: a copyable view of one engine's
+ *  ServerCounters. */
 struct ServerCountersSnapshot
 {
     u64 subsOps = 0;
     u64 externalProducts = 0;
     u64 plainMulAccs = 0;
-
-    ServerCountersSnapshot &
-    operator+=(const ServerCountersSnapshot &o)
-    {
-        subsOps += o.subsOps;
-        externalProducts += o.externalProducts;
-        plainMulAccs += o.plainMulAccs;
-        return *this;
-    }
 };
 
 /**

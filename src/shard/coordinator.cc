@@ -13,12 +13,8 @@ namespace ive {
 
 namespace {
 
-/**
- * Coordinator traffic and failure handling mirrored into the
- * process-wide registry. The per-instance atomics stay the source of
- * truth for summary(); these only aggregate across coordinators for
- * render().
- */
+/** Coordinator traffic and failure handling: the registry is the
+ *  only store of these tallies. */
 struct CoordMetrics
 {
     obs::Counter &queries;
@@ -141,10 +137,6 @@ ShardCoordinator::ingestKeys(std::span<const u8> key_blob)
             engines.push_back(std::make_shared<const PirServer>(
                 ctx_, params_, &db_, keys, s, numShards_));
     engines_ = std::move(engines);
-    // The finishing engine only expands queries into selectors and
-    // runs the last tournament levels; it never touches RowSel.
-    foldServer_ = std::make_shared<const PirServer>(ctx_, params_, &db_,
-                                                    std::move(keys));
 }
 
 std::vector<u8>
@@ -176,7 +168,6 @@ ShardCoordinator::callReplica(
         LockGuard lk(watchdogMu_);
         abandoned_.push_back(std::move(runner));
     }
-    deadlineMisses_.fetch_add(1, std::memory_order_relaxed);
     coordMetrics().deadlineMisses.add(1);
     throw DeadlineExceeded(strprintf(
         "shard %u replica call exceeded its %.3fs deadline",
@@ -215,12 +206,9 @@ ShardCoordinator::answerSlice(u32 slice,
                     "shard %u unavailable: %u replica(s), %u attempts, "
                     "last error: %s",
                     slice, fo_.replicas, attempts, e.what()));
-            retries_.fetch_add(1, std::memory_order_relaxed);
             cm.retries.add(1);
-            if ((a + 1) % fo_.replicas != r) {
-                failovers_.fetch_add(1, std::memory_order_relaxed);
+            if ((a + 1) % fo_.replicas != r)
                 cm.failovers.add(1);
-            }
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(backoffDelaySec(fo_, a)));
         }
@@ -244,8 +232,6 @@ ShardCoordinator::answer(std::span<const u8> query_blob)
     parallelFor(0, numShards_, [&](u64 s) {
         partials[s] = answerSlice(static_cast<u32>(s), query_blob);
     });
-    broadcastBytes_.fetch_add(query_blob.size() * numShards_,
-                              std::memory_order_relaxed);
     coordMetrics().broadcastBytes.add(query_blob.size() * numShards_);
     return finishFold(query, partials);
 }
@@ -264,7 +250,7 @@ ShardCoordinator::finishFold(
     const PirQuery &query,
     const std::vector<std::vector<u8>> &partial_blobs)
 {
-    if (!foldServer_)
+    if (engines_.empty())
         throw std::logic_error(
             "ShardCoordinator: no client keys ingested yet");
     u32 n = numShards();
@@ -302,7 +288,6 @@ ShardCoordinator::finishFold(
         gather_bytes += blob.size();
         partials[idx] = std::move(p);
     }
-    gatherBytes_.fetch_add(gather_bytes, std::memory_order_relaxed);
     coordMetrics().gatherBytes.add(gather_bytes);
 
     PirResponse resp;
@@ -312,8 +297,10 @@ ShardCoordinator::finishFold(
     } else {
         // Final log2(n) tournament levels: the same folds, on the same
         // operands, in the same order as the tail of the monolithic
-        // ColTor, so the result is byte-identical to it.
-        const PirServer &srv = *foldServer_;
+        // ColTor, so the result is byte-identical to it. Neither
+        // expandAndSelect nor colTor reads the engine's slice, so
+        // slice 0's engine finishes the fold.
+        const PirServer &srv = *engines_.front();
         int sel_offset = params_.d - log2Exact(n);
         // Only the final levels' selectors are needed here; their
         // assembly overlaps the expansion's last level.
@@ -333,29 +320,8 @@ ShardCoordinator::finishFold(
                 srv.colTor(std::move(entries), selectors, sel_offset);
         }
     }
-    queries_.fetch_add(1, std::memory_order_relaxed);
     coordMetrics().queries.add(1);
     return serializeResponse(ctx_, resp);
-}
-
-ShardCountersSummary
-ShardCoordinator::summary() const
-{
-    ShardCountersSummary s;
-    s.numShards = numShards();
-    s.numReplicas = fo_.replicas;
-    s.queries = queries_.load(std::memory_order_relaxed);
-    for (const auto &engine : engines_)
-        s.shardOps += engine->counters().snapshot();
-    if (foldServer_)
-        s.foldOps = foldServer_->counters().snapshot();
-    s.broadcastBytes = broadcastBytes_.load(std::memory_order_relaxed);
-    s.gatherBytes = gatherBytes_.load(std::memory_order_relaxed);
-    s.retries = retries_.load(std::memory_order_relaxed);
-    s.failovers = failovers_.load(std::memory_order_relaxed);
-    s.deadlineMisses =
-        deadlineMisses_.load(std::memory_order_relaxed);
-    return s;
 }
 
 } // namespace ive

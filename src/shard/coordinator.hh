@@ -14,9 +14,9 @@
  *      retrying across the slice's replicas on error or per-shard
  *      deadline expiry with capped exponential backoff (see
  *      FailoverConfig);
- *   3. finishes the final log2(num_shards) tournament levels on its
- *      own whole-database fold engine and serializes a regular
- *      Response blob.
+ *   3. finishes the final log2(num_shards) tournament levels on
+ *      slice 0's engine (expandAndSelect and colTor read no slice)
+ *      and serializes a regular Response blob.
  *
  * Every replica of a slice reads the same store with the same keys and
  * runs the same deterministic pipeline, so every replica computes the
@@ -28,6 +28,10 @@
  * throws a typed ive::ShardUnavailable — graceful degradation, never
  * a hang or abort. Gather traffic is one ciphertext per slice per
  * query, which is what makes the paper's scale-out near-linear.
+ *
+ * Queries, broadcast and gather bytes, retries, failovers and deadline
+ * misses are counted only in obs::Registry (obs::names kShard*,
+ * kFailovers, kDeadlineMissShard); the coordinator keeps no copy.
  */
 
 #ifndef IVE_SHARD_COORDINATOR_HH
@@ -70,30 +74,6 @@ struct FailoverConfig
  *  Pure, so the cap contract is testable without sleeping. */
 double backoffDelaySec(const FailoverConfig &cfg, u32 retry);
 
-/** Aggregated counters the bench and example print. */
-struct ShardCountersSummary
-{
-    u32 numShards = 1;
-    u32 numReplicas = 1;
-    u64 queries = 0; ///< Queries folded end-to-end.
-    ServerCountersSnapshot shardOps;   ///< Summed over all replicas.
-    ServerCountersSnapshot foldOps;    ///< The coordinator's finish.
-    u64 broadcastBytes = 0; ///< Query bytes shipped to shards.
-    u64 gatherBytes = 0;    ///< Partial bytes gathered back.
-    u64 retries = 0;        ///< Re-attempted replica calls.
-    u64 failovers = 0;      ///< Retries that switched replica.
-    u64 deadlineMisses = 0; ///< Replica calls cut off by the deadline.
-
-    /** Shard and fold work combined. */
-    ServerCountersSnapshot
-    totalOps() const
-    {
-        ServerCountersSnapshot t = shardOps;
-        t += foldOps;
-        return t;
-    }
-};
-
 class ShardCoordinator
 {
   public:
@@ -122,8 +102,8 @@ class ShardCoordinator
 
     /**
      * Ingests a client's key blob: deserializes it once and builds the
-     * num_shards * replicas slice engines plus the fold engine, all
-     * over database().
+     * num_shards * replicas slice engines over database(). Slice 0's
+     * first replica also finishes every fold.
      */
     void ingestKeys(std::span<const u8> key_blob);
 
@@ -155,9 +135,6 @@ class ShardCoordinator
     foldPartials(std::span<const u8> query_blob,
                  const std::vector<std::vector<u8>> &partial_blobs);
 
-    /** Aggregated op and traffic counters across replicas + fold. */
-    ShardCountersSummary summary() const;
-
   private:
     std::vector<u8> finishFold(
         const PirQuery &query,
@@ -179,18 +156,6 @@ class ShardCoordinator
      * (the same handshake as ServerSession::server_).
      */
     std::vector<std::shared_ptr<const PirServer>> engines_;
-    /** Whole-database engine: runs expandAndSelect and colTor only. */
-    std::shared_ptr<const PirServer> foldServer_;
-    // Traffic tallies are relaxed atomics, not mutex-guarded state:
-    // concurrent answer() calls bump them independently and summary()
-    // reads a (possibly torn-across-fields) snapshot by design. See
-    // common/annotations.hh for the policy on atomics vs capabilities.
-    std::atomic<u64> queries_{0};
-    std::atomic<u64> broadcastBytes_{0};
-    std::atomic<u64> gatherBytes_{0};
-    std::atomic<u64> retries_{0};
-    std::atomic<u64> failovers_{0};
-    std::atomic<u64> deadlineMisses_{0};
     /** Replica calls whose deadline expired: the watchdog thread is
      *  parked here and joined in the destructor, never detached, so
      *  ASan/TSan see every exit path. */

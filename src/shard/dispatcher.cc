@@ -13,11 +13,10 @@ namespace ive {
 namespace {
 
 /**
- * Dispatcher telemetry: queue pressure (depth gauge, window-wait
- * histogram), batching efficiency (batch-size histogram), and
- * admission control (shed and deadline-miss counters). The
- * DispatcherStats struct stays the exact per-instance view; these
- * aggregate across dispatchers for render().
+ * Dispatcher telemetry, the only store of its tallies: queue pressure
+ * (depth gauge, window-wait histogram), batching efficiency
+ * (batch-size histogram), and admission control (shed and
+ * deadline-miss counters).
  */
 struct DispatchMetrics
 {
@@ -109,14 +108,12 @@ ShardDispatcher::submit(std::vector<u8> query_blob, AnswerFn work,
         // lock before shutdown is flushed, and any that loses it is
         // rejected here — a racing submit can never lose its callback.
         if (stop_) {
-            ++stats_.rejectedShutdown;
             rejection = std::make_exception_ptr(
                 ShutdownError("ShardDispatcher: submit after shutdown"));
         } else if ((cfg_.maxQueue > 0 &&
                     queue_.size() >=
                         static_cast<size_t>(cfg_.maxQueue)) ||
                    reject.evaluate()) {
-            ++stats_.shed;
             dm.shed.add(1);
             rejection = std::make_exception_ptr(Overloaded(
                 strprintf("ShardDispatcher: queue at high-water mark "
@@ -124,7 +121,6 @@ ShardDispatcher::submit(std::vector<u8> query_blob, AnswerFn work,
                           queue_.size(), cfg_.maxQueue)));
         } else {
             queue_.push_back(std::move(p));
-            ++stats_.submitted;
             dm.queueDepth.set(static_cast<i64>(queue_.size()));
         }
     }
@@ -146,13 +142,6 @@ ShardDispatcher::drain()
         mu_.assertHeld(); // Predicates run with the lock held.
         return queue_.empty() && !inFlight_;
     });
-}
-
-DispatcherStats
-ShardDispatcher::stats() const
-{
-    LockGuard lk(mu_);
-    return stats_;
 }
 
 void
@@ -178,7 +167,7 @@ ShardDispatcher::runLoop()
             queue_.front().arrival +
             std::chrono::duration_cast<Clock::duration>(
                 std::chrono::duration<double>(cfg_.windowSec));
-        bool full = wake_.wait_until(lk, deadline, [this] {
+        wake_.wait_until(lk, deadline, [this] {
             mu_.assertHeld();
             return stop_ ||
                    queue_.size() >=
@@ -203,17 +192,7 @@ ShardDispatcher::runLoop()
             else
                 batch.push_back(std::move(p));
         }
-        stats_.expired += lapsed.size();
-        stats_.completed += lapsed.size();
         inFlight_ = !batch.empty();
-        if (!batch.empty()) {
-            ++stats_.batches;
-            if (full &&
-                take == static_cast<size_t>(cfg_.maxBatch))
-                ++stats_.fullBatches;
-            stats_.maxBatch =
-                std::max(stats_.maxBatch, u64{batch.size()});
-        }
         DispatchMetrics &dm = dispatchMetrics();
         dm.queueDepth.set(static_cast<i64>(queue_.size()));
         lk.unlock();
@@ -263,7 +242,6 @@ ShardDispatcher::runLoop()
 
         dm.completed.add(batch.size());
         lk.lock();
-        stats_.completed += batch.size();
         inFlight_ = false;
         if (queue_.empty())
             idle_.notify_all();

@@ -44,6 +44,10 @@
  * submit racing shutdown can neither hang nor lose its callback.
  * Pipeline errors (e.g. SerializeError for a malformed blob,
  * ShardUnavailable from a dead slice) arrive the same way.
+ *
+ * The dispatcher keeps no tallies of its own: submits, completions,
+ * batches, sheds and expiries are counted only in obs::Registry
+ * (obs::names kDispatch*, kQueriesShed, kDeadlineMissDispatch).
  */
 
 #ifndef IVE_SHARD_DISPATCHER_HH
@@ -83,19 +87,6 @@ struct SchedulerConfig
      * served late. 0 = no deadline.
      */
     double queryDeadlineSec = 0.0;
-};
-
-/** Cumulative dispatcher tallies (under one lock with the queue). */
-struct DispatcherStats
-{
-    u64 submitted = 0;  ///< Accepted into the queue.
-    u64 completed = 0;  ///< Completions delivered, success or error.
-    u64 batches = 0;
-    u64 fullBatches = 0; ///< Dispatched because maxBatch was reached.
-    u64 maxBatch = 0;    ///< Largest batch dispatched so far.
-    u64 shed = 0;        ///< Rejected with Overloaded at submit.
-    u64 expired = 0;     ///< Dropped with DeadlineExceeded at dispatch.
-    u64 rejectedShutdown = 0; ///< Rejected with ShutdownError.
 };
 
 class ShardDispatcher
@@ -142,8 +133,6 @@ class ShardDispatcher
     /** Blocks until every submitted query has been dispatched. */
     void drain() IVE_EXCLUDES(mu_);
 
-    DispatcherStats stats() const IVE_EXCLUDES(mu_);
-
   private:
     using Clock = std::chrono::steady_clock;
 
@@ -161,11 +150,10 @@ class ShardDispatcher
 
     SchedulerConfig cfg_;
 
-    mutable Mutex mu_;
+    Mutex mu_;
     CondVar wake_; ///< Queue grew or stop requested.
     CondVar idle_; ///< Queue drained, nothing in flight.
     std::deque<Pending> queue_ IVE_GUARDED_BY(mu_);
-    DispatcherStats stats_ IVE_GUARDED_BY(mu_);
     bool inFlight_ IVE_GUARDED_BY(mu_) = false;
     bool stop_ IVE_GUARDED_BY(mu_) = false;
     std::once_flag shutdownOnce_; ///< One joiner, even when racing.

@@ -19,6 +19,9 @@
  *     its future with a value or a typed error (satellite: no broken
  *     promise, no hang).
  *
+ * Retries, failovers, sheds and expiries are read as obs::Registry
+ * deltas (counter_delta.hh): the numbers a scrape of the process shows.
+ *
  * The TSan CI stage (scripts/ci.sh, -L thread) runs this suite
  * instrumented; the --faults stage re-runs it under an env-armed
  * IVE_FAILPOINTS recipe.
@@ -34,11 +37,12 @@
 
 #include "common/failpoint.hh"
 #include "common/thread_pool.hh"
-#include "obs/metrics.hh"
+#include "counter_delta.hh"
 #include "shard/coordinator.hh"
 #include "shard/dispatcher.hh"
 
 using namespace ive;
+namespace names = obs::names;
 
 namespace {
 
@@ -356,14 +360,16 @@ TEST_F(FaultShard, ErrorFailoverIsByteIdentical)
     // The first replica call in the broadcast fails once; its slice
     // fails over to the sibling replica, which computes the identical
     // partial — the response bytes cannot tell the difference.
+    CounterDelta retries(names::kShardRetries);
+    CounterDelta failovers(names::kFailovers);
+    CounterDelta misses(names::kDeadlineMissShard);
     fail::point("shard.answer.error").arm(fail::Trigger::nth(1));
     EXPECT_EQ(coord->answer(query), want);
 
-    ShardCountersSummary s = coord->summary();
-    EXPECT_EQ(s.numReplicas, 2u);
-    EXPECT_EQ(s.retries, 1u);
-    EXPECT_EQ(s.failovers, 1u);
-    EXPECT_EQ(s.deadlineMisses, 0u);
+    EXPECT_EQ(coord->numReplicas(), 2u);
+    EXPECT_EQ(retries(), 1u);
+    EXPECT_EQ(failovers(), 1u);
+    EXPECT_EQ(misses(), 0u);
 }
 
 TEST_F(FaultShard, ReplicasServeOneSharedStore)
@@ -393,13 +399,14 @@ TEST_F(FaultShard, ReplicasServeOneSharedStore)
     // Replica 0 of the record's slice fails once, so replica 1 answers
     // for it. The new content comes back: every engine reads the
     // coordinator's one Database, not a copy taken at fill time.
+    CounterDelta failovers(names::kFailovers);
     fail::point("shard.answer.error")
         .arm(fail::Trigger::nth(1).withScope(slice));
     std::vector<std::vector<u64>> planes = ref.client.decodeResponse(
         coord->answer(ref.client.queryBlob(target)));
     EXPECT_EQ(planes, fresh);
     EXPECT_EQ(fail::point("shard.answer.error").fires(), 1u);
-    EXPECT_EQ(coord->summary().failovers, 1u);
+    EXPECT_EQ(failovers(), 1u);
 }
 
 TEST_F(FaultShard, TimeoutFailoverIsByteIdentical)
@@ -430,14 +437,16 @@ TEST_F(FaultShard, TimeoutFailoverIsByteIdentical)
     // parked thread) and the slice fails over to replica 1.
     auto delay_ms =
         static_cast<u64>(fo.shardDeadlineSec * 1000.0 * 2.0) + 100;
+    CounterDelta retries(names::kShardRetries);
+    CounterDelta failovers(names::kFailovers);
+    CounterDelta misses(names::kDeadlineMissShard);
     fail::point("shard.answer.delay")
         .arm(fail::Trigger::nth(1).withArg(delay_ms));
     EXPECT_EQ(coord->answer(query), want);
 
-    ShardCountersSummary s = coord->summary();
-    EXPECT_EQ(s.deadlineMisses, 1u);
-    EXPECT_EQ(s.retries, 1u);
-    EXPECT_EQ(s.failovers, 1u);
+    EXPECT_EQ(misses(), 1u);
+    EXPECT_EQ(retries(), 1u);
+    EXPECT_EQ(failovers(), 1u);
 }
 
 TEST_F(FaultShard, AllReplicasDownDegradesToShardUnavailable)
@@ -452,14 +461,15 @@ TEST_F(FaultShard, AllReplicasDownDegradesToShardUnavailable)
     std::vector<u8> query = ref.client.queryBlob(3);
     std::vector<u8> want = ref.server.answer(query);
 
+    CounterDelta retries(names::kShardRetries);
+    CounterDelta failovers(names::kFailovers);
     fail::point("shard.answer.error").arm(fail::Trigger::always());
     EXPECT_THROW((void)coord->answer(query), ShardUnavailable);
 
     // Default budget: 2 * replicas attempts; replicas rotate 0,1,0,1
     // so every retry is also a failover.
-    ShardCountersSummary s = coord->summary();
-    EXPECT_EQ(s.retries, 3u);
-    EXPECT_EQ(s.failovers, 3u);
+    EXPECT_EQ(retries(), 3u);
+    EXPECT_EQ(failovers(), 3u);
 
     // The outage is not sticky: the moment the fault clears, the same
     // coordinator answers byte-identically again.
@@ -544,6 +554,8 @@ TEST_F(FaultDispatch, BoundedQueueShedsABurstWithoutBlocking)
     std::vector<std::future<std::vector<u8>>> futures;
     {
         ShardDispatcher dispatcher(cfg);
+        CounterDelta submitted(names::kDispatchSubmitted);
+        CounterDelta shed_count(names::kQueriesShed);
         for (int i = 0; i < kBurst; ++i)
             futures.push_back(
                 submitFuture(dispatcher, query, viaCoordinator(*coord)));
@@ -557,9 +569,9 @@ TEST_F(FaultDispatch, BoundedQueueShedsABurstWithoutBlocking)
                 ++shed;
         EXPECT_EQ(shed, kBurst - cfg.maxQueue);
 
-        DispatcherStats st = dispatcher.stats();
-        EXPECT_EQ(st.submitted, static_cast<u64>(cfg.maxQueue));
-        EXPECT_EQ(st.shed, static_cast<u64>(kBurst - cfg.maxQueue));
+        // Admission counts on the submitting thread, so both are final.
+        EXPECT_EQ(submitted(), static_cast<u64>(cfg.maxQueue));
+        EXPECT_EQ(shed_count(), static_cast<u64>(kBurst - cfg.maxQueue));
         // Destructor shutdown flushes the accepted queries.
     }
     int answered = 0, overloaded = 0;
@@ -588,12 +600,13 @@ TEST_F(FaultDispatch, RejectFailpointShedsAtAdmission)
     cfg.maxBatch = 4;
     ShardDispatcher dispatcher(cfg);
 
+    CounterDelta shed_count(names::kQueriesShed);
     fail::armFromSpec("dispatch.queue.reject=nth:1");
     auto shed = submitFuture(dispatcher, query, viaCoordinator(*coord));
     auto ok = submitFuture(dispatcher, query, viaCoordinator(*coord));
     EXPECT_THROW((void)shed.get(), Overloaded);
     EXPECT_EQ(ok.get(), ref.server.answer(query));
-    EXPECT_EQ(dispatcher.stats().shed, 1u);
+    EXPECT_EQ(shed_count(), 1u);
 }
 
 TEST_F(FaultDispatch, WindowWaitConsumesTheQueryDeadline)
@@ -608,14 +621,17 @@ TEST_F(FaultDispatch, WindowWaitConsumesTheQueryDeadline)
     cfg.queryDeadlineSec = 0.005; // can never fill to dispatch early).
     ShardDispatcher dispatcher(cfg);
 
+    CounterDelta expired(names::kDeadlineMissDispatch);
+    CounterDelta completed(names::kDispatchCompleted);
+    CounterDelta batches(names::kDispatchBatches);
     auto fut = submitFuture(dispatcher, ref.client.queryBlob(0),
                             viaCoordinator(*coord));
+    // A lapsed query is counted before its callback fires.
     EXPECT_THROW((void)fut.get(), DeadlineExceeded);
     dispatcher.drain();
-    DispatcherStats st = dispatcher.stats();
-    EXPECT_EQ(st.expired, 1u);
-    EXPECT_EQ(st.completed, 1u);
-    EXPECT_EQ(st.batches, 0u); // Nothing reached the coordinator.
+    EXPECT_EQ(expired(), 1u);
+    EXPECT_EQ(completed(), 1u);
+    EXPECT_EQ(batches(), 0u); // Nothing reached the coordinator.
 }
 
 // ------------------------------------------------- shutdown semantics
@@ -633,12 +649,13 @@ TEST_F(FaultDispatch, SubmitAfterShutdownRejectsWithATypedError)
     dispatcher.shutdown();
     dispatcher.shutdown(); // Idempotent.
 
+    CounterDelta submitted(names::kDispatchSubmitted);
     auto fut = submitFuture(dispatcher, ref.client.queryBlob(0),
                             viaCoordinator(*coord));
     ASSERT_EQ(fut.wait_for(std::chrono::seconds(0)),
               std::future_status::ready); // Rejected, not queued.
     EXPECT_THROW((void)fut.get(), ShutdownError);
-    EXPECT_EQ(dispatcher.stats().rejectedShutdown, 1u);
+    EXPECT_EQ(submitted(), 0u);
 }
 
 // The TSan CI stage runs this instrumented: submitters race shutdown,
@@ -655,6 +672,8 @@ TEST_F(FaultDispatch, SubmitRacingShutdownAlwaysResolvesTyped)
     cfg.windowSec = 0.0005;
     cfg.maxBatch = 4;
     ShardDispatcher dispatcher(cfg);
+    CounterDelta submitted(names::kDispatchSubmitted);
+    CounterDelta completed(names::kDispatchCompleted);
 
     constexpr int kThreads = 4;
     constexpr int kPerThread = 50;
@@ -696,11 +715,11 @@ TEST_F(FaultDispatch, SubmitRacingShutdownAlwaysResolvesTyped)
     EXPECT_EQ(serialize_errors + shutdown_rejects,
               kThreads * kPerThread);
 
-    DispatcherStats st = dispatcher.stats();
-    EXPECT_EQ(st.submitted, static_cast<u64>(serialize_errors));
-    EXPECT_EQ(st.completed, st.submitted);
-    EXPECT_EQ(st.rejectedShutdown,
-              static_cast<u64>(shutdown_rejects));
+    // shutdown() joined the dispatch thread, so every count is final.
+    // With the total above, accepted == SerializeError means every
+    // other future was a shutdown rejection.
+    EXPECT_EQ(submitted(), static_cast<u64>(serialize_errors));
+    EXPECT_EQ(completed(), submitted());
 }
 
 // Declared last, in the last-declared suite, on purpose: gtest runs
@@ -714,18 +733,18 @@ TEST_F(FaultDispatch, FailureMetricsAppearInThePrometheusExposition)
     for (const char *family : {
              "ive_faults_injected_total{point=\"shard.answer.error\"}",
              "ive_faults_injected_total{point=\"shard.answer.delay\"}",
-             obs::names::kShardRetries,
-             obs::names::kFailovers,
-             obs::names::kQueriesShed,
-             obs::names::kDeadlineMissShard,
-             obs::names::kDeadlineMissDispatch,
+             names::kShardRetries,
+             names::kFailovers,
+             names::kQueriesShed,
+             names::kDeadlineMissShard,
+             names::kDeadlineMissDispatch,
          }) {
         EXPECT_NE(text.find(family), std::string::npos)
             << "missing from exposition: " << family;
     }
     // The retry-latency histogram renders as _bucket/_sum/_count
     // series derived from the base family name.
-    EXPECT_NE(text.find(std::string(obs::names::kRetryLatencyNs) +
+    EXPECT_NE(text.find(std::string(names::kRetryLatencyNs) +
                         "_count"),
               std::string::npos);
 }

@@ -25,9 +25,9 @@
 #include <thread>
 
 #include "common/failpoint.hh"
+#include "counter_delta.hh"
 #include "net/client.hh"
 #include "net/server.hh"
-#include "obs/metrics.hh"
 #include "pir/session.hh"
 
 using namespace ive;
@@ -554,14 +554,11 @@ TEST(NetServer, SocketQueryRecordsSessionTelemetry)
 
     namespace n = obs::names;
     obs::Registry &r = obs::Registry::global();
-    obs::Counter &queries = r.counter(n::kSessionQueries);
-    obs::Counter &req_bytes = r.counter(n::kSessionRequestBytes);
-    obs::Counter &resp_bytes = r.counter(n::kSessionResponseBytes);
+    CounterDelta queries(n::kSessionQueries);
+    CounterDelta req_bytes(n::kSessionRequestBytes);
+    CounterDelta resp_bytes(n::kSessionResponseBytes);
     obs::Histogram &answer = r.histogram(n::kStageAnswer);
     obs::Histogram &serialize = r.histogram(n::kStageSerialize);
-    const u64 q0 = queries.value();
-    const u64 req0 = req_bytes.value();
-    const u64 resp0 = resp_bytes.value();
     const u64 ans0 = answer.snapshot().count;
     const u64 ser0 = serialize.snapshot().count;
 
@@ -570,11 +567,37 @@ TEST(NetServer, SocketQueryRecordsSessionTelemetry)
     std::vector<u8> got = tcp.query(7, gen, qblob);
     EXPECT_EQ(cl.decodeResponse(got)[0], dbContent(f.params, 5, 0));
 
-    EXPECT_EQ(queries.value() - q0, 1u);
-    EXPECT_EQ(req_bytes.value() - req0, qblob.size());
-    EXPECT_EQ(resp_bytes.value() - resp0, got.size());
+    EXPECT_EQ(queries(), 1u);
+    EXPECT_EQ(req_bytes(), qblob.size());
+    EXPECT_EQ(resp_bytes(), got.size());
     EXPECT_EQ(answer.snapshot().count - ans0, 1u);
     EXPECT_EQ(serialize.snapshot().count - ser0, 1u);
+}
+
+TEST(NetServer, ThunkErrorsArriveAsTypedFrames)
+{
+    // Errors thrown inside a dispatcher work thunk keep their type on
+    // the way back: the client rethrows the server's SerializeError,
+    // and the connection keeps serving.
+    NetFixture f;
+    ClientSession cl(f.params, 7);
+    RefServer ref(cl);
+    PirTcpClient tcp = f.connect();
+
+    // The registration thunk rejects params of another deployment.
+    ClientSession alien(netParams(16, 1), 8);
+    EXPECT_THROW(
+        (void)tcp.registerKeys(8, alien.paramsBlob(), alien.keyBlob()),
+        SerializeError);
+
+    // The query thunk rejects a well-formed QueryRef whose nested blob
+    // is a Params blob, not a Query.
+    u64 gen = tcp.registerKeys(7, cl.paramsBlob(), cl.keyBlob());
+    EXPECT_THROW((void)tcp.query(7, gen, cl.paramsBlob()),
+                 SerializeError);
+
+    std::vector<u8> qblob = cl.queryBlob(3);
+    EXPECT_EQ(tcp.query(7, gen, qblob), ref.answer(qblob));
 }
 
 TEST(NetServer, TwoClientsInterleaved)
@@ -743,12 +766,13 @@ TEST(NetServer, DrainAnswersInFlightThenCloses)
     r.clientId = 7;
     r.generation = gen;
     r.queryBlob = qblob;
+    CounterDelta submitted(obs::names::kDispatchSubmitted);
     tcp.sendFrame(serializeQueryRef(r));
     // sendFrame() returns once the bytes hit the kernel buffer; wait
-    // until the server has actually ADMITTED the query (register was
-    // submission #1), else drain() legitimately rejects it with
-    // ShuttingDown and the test races its own setup.
-    while (f.server->dispatcherStats().submitted < 2)
+    // until the server's dispatcher has actually ADMITTED the query,
+    // else drain() legitimately rejects it with ShuttingDown and the
+    // test races its own setup.
+    while (submitted() < 1)
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     f.server->drain();
 

@@ -174,6 +174,20 @@ TEST(ObsRegistry, PrometheusRenderGolden)
               "ive_test_ops_total{op=\"b\"} 5\n");
 }
 
+TEST(ObsRegistry, ReaderFirstLookupKeepsTheRecordersHelp)
+{
+    // Tests read serving tallies from the registry, sometimes before
+    // the recording layer registers the name with its help text.
+    obs::Registry r;
+    obs::Counter &reader = r.counter("ive_test_late_total");
+    r.counter("ive_test_late_total", "recorded later").add(2);
+    EXPECT_EQ(reader.value(), 2u);
+    EXPECT_EQ(r.renderPrometheus(),
+              "# HELP ive_test_late_total recorded later\n"
+              "# TYPE ive_test_late_total counter\n"
+              "ive_test_late_total 2\n");
+}
+
 TEST(ObsRegistry, JsonRenderGolden)
 {
     obs::Registry r;

@@ -6,9 +6,9 @@
  * The load-bearing property is byte-identity: for the same query, the
  * shard coordinator's Response blobs must equal the single-server
  * ServerSession::answer() blobs at every shard count (1/2/4/8) and
- * thread count (1/8). Everything else — slice engines, counter
- * aggregation, topology validation, dispatcher batching — supports
- * that deployment.
+ * thread count (1/8). Everything else — slice engines, the
+ * registry's op and traffic counts, topology validation, dispatcher
+ * batching — supports that deployment.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +17,12 @@
 #include <thread>
 
 #include "common/thread_pool.hh"
+#include "counter_delta.hh"
 #include "shard/coordinator.hh"
 #include "shard/dispatcher.hh"
 
 using namespace ive;
+namespace names = obs::names;
 
 namespace {
 
@@ -279,64 +281,90 @@ TEST(Shard, FoldBeforeKeyIngestThrows)
     Reference ref(params);
     ShardCoordinator coord(ref.client.paramsBlob(), 2);
     coord.database().fill(contentGenerator(params));
-    EXPECT_THROW((void)coord.answer(ref.client.queryBlob(0)),
+    std::vector<u8> query = ref.client.queryBlob(0);
+    EXPECT_THROW((void)coord.answer(query), std::logic_error);
+
+    // A complete partial set from a keyed twin: the fold itself still
+    // needs this coordinator's keys.
+    auto keyed = makeCoordinator(ref, 2);
+    std::vector<std::vector<u8>> partials{keyed->answerSlice(0, query),
+                                          keyed->answerSlice(1, query)};
+    EXPECT_THROW((void)coord.foldPartials(query, partials),
                  std::logic_error);
 }
 
 // ------------------------------------------------------------ counters
 
-TEST(Shard, SummaryAggregatesAcrossShardsCumulatively)
+TEST(Shard, RegistryCountsShardAndFoldWork)
 {
     PirParams params = smallParams(8, 3, /*planes=*/2); // 64 records
     Reference ref(params);
     const u32 kShards = 4;
     auto coord = makeCoordinator(ref, kShards);
+    ASSERT_EQ(coord->numShards(), kShards);
+    std::vector<std::vector<u8>> queries{ref.client.queryBlob(3),
+                                         ref.client.queryBlob(40)};
+    const u64 nq = queries.size();
 
-    std::vector<u8> q1 = ref.client.queryBlob(3);
-    std::vector<u8> q2 = ref.client.queryBlob(40);
-    std::vector<u8> r1 = coord->answer(q1);
-    (void)coord->answer(q2);
-
-    ShardCountersSummary s = coord->summary();
-    EXPECT_EQ(s.numShards, kShards);
-    EXPECT_EQ(s.queries, 2u);
-
-    // RowSel work: summed over shards, every record of every plane is
-    // touched exactly once per query — same total as one big server.
-    u64 per_query_macs =
-        params.numEntries() * static_cast<u64>(params.planes);
-    EXPECT_EQ(s.shardOps.plainMulAccs, 2 * per_query_macs);
-
-    // Tournament folds: shards fold their local levels, the
-    // coordinator the last log2(kShards); together exactly the
-    // monolithic 2^d - 1 folds per plane. Each engine assembles only
-    // the selectors for the levels it folds (ell external products per
-    // level per query), so total selector work equals the monolithic
-    // d * ell plus the broadcast's (kShards - 1)-fold duplication of
-    // the local levels.
+    // Shard work: the gather step, slice by slice. RowSel touches every
+    // record of every plane exactly once per query, summed over slices
+    // — the same total as one big server. Each slice engine assembles
+    // only the selectors for the levels it folds (ell external
+    // products per level) and folds its local columns.
     u64 ell = params.he.ellRgsw;
     u64 cols = u64{1} << params.d;
     int local_levels = params.d - log2Exact(kShards);
     u64 local_folds = (cols / kShards - 1) * params.planes;
+    CounterDelta shard_macs(names::kOpsPlainMulAcc);
+    CounterDelta shard_ext(names::kOpsExternalProduct);
+    std::vector<std::vector<std::vector<u8>>> partials(nq);
+    for (u64 q = 0; q < nq; ++q)
+        for (u32 s = 0; s < kShards; ++s)
+            partials[q].push_back(coord->answerSlice(s, queries[q]));
+    const u64 shard_ext_n = shard_ext();
+    EXPECT_EQ(shard_macs(),
+              nq * params.numEntries() * static_cast<u64>(params.planes));
+    EXPECT_EQ(shard_ext_n,
+              nq * kShards * (local_levels * ell + local_folds));
+
+    // Fold work: the coordinator's selectors for the last log2(kShards)
+    // levels and the (kShards - 1) final folds per plane; no RowSel.
+    // Gather traffic is one partial (same size on every slice) per
+    // slice per query.
     u64 final_folds = (kShards - 1) * static_cast<u64>(params.planes);
-    EXPECT_EQ(s.shardOps.externalProducts,
-              2 * kShards * (local_levels * ell + local_folds));
-    EXPECT_EQ(s.foldOps.externalProducts,
-              2 * (log2Exact(kShards) * ell + final_folds));
+    CounterDelta fold_macs(names::kOpsPlainMulAcc);
+    CounterDelta fold_ext(names::kOpsExternalProduct);
+    CounterDelta folded(names::kShardQueries);
+    CounterDelta gathered(names::kShardGatherBytes);
+    std::vector<std::vector<u8>> folds;
+    for (u64 q = 0; q < nq; ++q)
+        folds.push_back(coord->foldPartials(queries[q], partials[q]));
+    const u64 fold_ext_n = fold_ext();
+    EXPECT_EQ(fold_macs(), 0u);
+    EXPECT_EQ(fold_ext_n,
+              nq * (log2Exact(kShards) * ell + final_folds));
+    EXPECT_EQ(folded(), nq);
+    EXPECT_EQ(gathered(), nq * kShards * partials[0][0].size());
+
+    // answer() is broadcast + gather + fold: the fold's bytes, every
+    // query reaching every slice, and shard plus fold work — the
+    // monolithic d * ell selectors and 2^d - 1 folds per plane, plus
+    // the broadcast's (kShards - 1)-fold duplication of the local
+    // selector levels.
     u64 monolithic_folds = (cols - 1) * static_cast<u64>(params.planes);
     u64 duplicated_sel = (kShards - 1) * local_levels * ell;
-    EXPECT_EQ(s.totalOps().externalProducts,
-              2 * (static_cast<u64>(params.d) * ell + duplicated_sel +
-                   monolithic_folds));
-
-    // Traffic: every query reaches every shard; one partial comes back
-    // per shard per query.
-    EXPECT_EQ(s.broadcastBytes,
-              kShards * (q1.size() + q2.size()));
-    std::vector<u8> partial =
-        coord->answerSlice(0, q1); // same size every shard
-    EXPECT_EQ(s.gatherBytes, 2 * kShards * partial.size());
-    (void)r1;
+    CounterDelta total_ext(names::kOpsExternalProduct);
+    CounterDelta answered(names::kShardQueries);
+    CounterDelta broadcast(names::kShardBroadcastBytes);
+    for (u64 q = 0; q < nq; ++q)
+        EXPECT_EQ(coord->answer(queries[q]), folds[q]) << "query " << q;
+    EXPECT_EQ(total_ext(), shard_ext_n + fold_ext_n);
+    EXPECT_EQ(total_ext(),
+              nq * (static_cast<u64>(params.d) * ell + duplicated_sel +
+                    monolithic_folds));
+    EXPECT_EQ(answered(), nq);
+    EXPECT_EQ(broadcast(),
+              kShards * (queries[0].size() + queries[1].size()));
 }
 
 // ---------------------------------------------------------- dispatcher
@@ -352,26 +380,38 @@ TEST(Dispatcher, FullBatchesDispatchWithoutWaitingForTheWindow)
     cfg.maxBatch = 2;
     ShardDispatcher dispatcher(cfg);
 
+    CounterDelta submitted(names::kDispatchSubmitted);
+    CounterDelta completed(names::kDispatchCompleted);
+    CounterDelta batches(names::kDispatchBatches);
+    obs::Histogram &batch_size =
+        obs::Registry::global().histogram(names::kDispatchBatchSize);
+    const obs::HistogramSnapshot sizes0 = batch_size.snapshot();
+
     std::vector<u64> targets{1, 9, 17, 25};
     std::vector<std::future<std::vector<u8>>> futures;
     for (u64 t : targets)
         futures.push_back(submitFuture(dispatcher, ref.client.queryBlob(t),
                                        viaCoordinator(*coord)));
     for (size_t i = 0; i < targets.size(); ++i) {
+        // Only full batches can dispatch before the 30 s window.
+        ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(10)),
+                  std::future_status::ready)
+            << "query " << i;
         auto planes =
             ref.client.decodeResponse(futures[i].get());
         EXPECT_EQ(planes[0], dbContent(params, targets[i], 0))
             << "query " << i;
     }
-    // Promises resolve before the stats update; drain() orders both.
+    // Callbacks fire before the completion count; drain() orders both.
     dispatcher.drain();
 
-    DispatcherStats st = dispatcher.stats();
-    EXPECT_EQ(st.submitted, 4u);
-    EXPECT_EQ(st.completed, 4u);
-    EXPECT_EQ(st.batches, 2u);
-    EXPECT_EQ(st.maxBatch, 2u);
-    EXPECT_EQ(st.fullBatches, 2u);
+    EXPECT_EQ(submitted(), 4u);
+    EXPECT_EQ(completed(), 4u);
+    EXPECT_EQ(batches(), 2u);
+    // Two batches holding four queries: each is full at maxBatch = 2.
+    const obs::HistogramSnapshot sizes = batch_size.snapshot();
+    EXPECT_EQ(sizes.count - sizes0.count, 2u);
+    EXPECT_EQ(sizes.sum - sizes0.sum, 4u);
 }
 
 TEST(Dispatcher, WindowExpiryDispatchesAPartialBatch)
@@ -384,6 +424,8 @@ TEST(Dispatcher, WindowExpiryDispatchesAPartialBatch)
     cfg.windowSec = 0.02;
     cfg.maxBatch = 64; // Never fills; only the window can dispatch.
     ShardDispatcher dispatcher(cfg);
+    CounterDelta completed(names::kDispatchCompleted);
+    CounterDelta batches(names::kDispatchBatches);
 
     auto f0 = submitFuture(dispatcher, ref.client.queryBlob(5),
                            viaCoordinator(*coord));
@@ -395,10 +437,8 @@ TEST(Dispatcher, WindowExpiryDispatchesAPartialBatch)
               dbContent(params, 6, 0));
     dispatcher.drain();
 
-    DispatcherStats st = dispatcher.stats();
-    EXPECT_EQ(st.completed, 2u);
-    EXPECT_GE(st.batches, 1u);
-    EXPECT_EQ(st.fullBatches, 0u);
+    EXPECT_EQ(completed(), 2u);
+    EXPECT_GE(batches(), 1u);
 }
 
 TEST(Dispatcher, ResponsesMatchDirectCoordinatorAnswers)
@@ -473,6 +513,8 @@ TEST(Dispatcher, ConcurrentSubmitDrainShutdownStress)
     std::vector<std::future<std::vector<u8>>> futures(blobs.size());
     {
         ShardDispatcher dispatcher(cfg);
+        CounterDelta submitted(names::kDispatchSubmitted);
+        CounterDelta completed(names::kDispatchCompleted);
         std::vector<std::thread> submitters;
         for (int t = 0; t < kThreads; ++t) {
             submitters.emplace_back([&, t] {
@@ -494,10 +536,8 @@ TEST(Dispatcher, ConcurrentSubmitDrainShutdownStress)
             th.join();
         drainer.join();
         dispatcher.drain();
-        DispatcherStats st = dispatcher.stats();
-        EXPECT_EQ(st.submitted,
-                  static_cast<u64>(kThreads) * kPerThread);
-        EXPECT_EQ(st.completed, st.submitted);
+        EXPECT_EQ(submitted(), static_cast<u64>(kThreads) * kPerThread);
+        EXPECT_EQ(completed(), submitted());
         // Destructor shutdown races nothing: all work is done, but the
         // stop path still has to wake and join the worker.
     }
