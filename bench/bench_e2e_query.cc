@@ -205,7 +205,8 @@ main(int argc, char **argv)
     // a second in-process client for the typed query object.
     HeContext ctx(params.he);
     PirClient stage_client(ctx, params, /*seed=*/42);
-    PirPublicKeys keys = stage_client.genPublicKeys();
+    auto keys =
+        std::make_shared<const PirPublicKeys>(stage_client.genPublicKeys());
     Database db(ctx, params);
     db.fill([&](u64 entry, int plane) {
         return dbContent(params, entry, plane);

@@ -109,7 +109,9 @@ main()
     HeContext ctx(meas.he);
     PirClient client(ctx, meas, 1);
     Database db = Database::random(ctx, meas, 2);
-    PirServer server(ctx, meas, &db, client.genPublicKeys());
+    PirServer server(ctx, meas, &db,
+                     std::make_shared<const PirPublicKeys>(
+                         client.genPublicKeys()));
     PirQuery q = client.makeQuery(3);
 
     // Expansion and selector assembly run unfused, so each stage's

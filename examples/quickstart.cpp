@@ -42,9 +42,10 @@ main()
 
     // 3. Client side: keys and a query for entry 42.
     PirClient client(ctx, params, /*seed=*/2024);
-    PirPublicKeys keys = client.genPublicKeys();
+    auto keys = std::make_shared<const PirPublicKeys>(
+        client.genPublicKeys());
     std::printf("client upload (keys + query): %.2f MiB\n",
-                (keys.byteSize(ctx) + BfvCiphertext::byteSize(ctx)) /
+                (keys->byteSize(ctx) + BfvCiphertext::byteSize(ctx)) /
                     (1024.0 * 1024.0));
 
     u64 secret_index = 42;

@@ -75,7 +75,9 @@ main()
     });
 
     PirClient client(ctx, params, 99);
-    PirServer server(ctx, params, &db, client.genPublicKeys());
+    PirServer server(ctx, params, &db,
+                     std::make_shared<const PirPublicKeys>(
+                         client.genPublicKeys()));
 
     u64 user = 777 % num_mailboxes;
     u64 entry = user / per_entry;

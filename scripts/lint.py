@@ -36,8 +36,8 @@ Rules (each line reports as ``path:line: [rule] message``):
                       tests are exempt.
   raw-socket          Socket I/O (send/recv family, ::read/::write on
                       fds) is confined to src/net/, where FrameCodec
-                      framing, idle deadlines, backpressure and the
-                      net.* failpoints apply. A raw send() elsewhere in
+                      framing, read/write deadlines, backpressure and
+                      the net.* failpoints apply. A raw send() elsewhere in
                       src/ would bypass all four. Benches and tests are
                       exempt (they drive PirTcpClient, which lives in
                       src/net/).
@@ -49,6 +49,12 @@ Rules (each line reports as ``path:line: [rule] message``):
                       include root, so without this rule a stray
                       include would quietly pull those libraries back
                       into the serving link.
+  wire-domain         Every protocol decoder states the domain its
+                      polys must have. In pir/wire.cc each call to
+                      loadBfvCiphertext, loadEvkKey or
+                      loadRgswCiphertext (which accept either domain
+                      tag) must carry an allow() naming the NTT-form
+                      check that follows it.
 
 Escape hatch: a finding is suppressed when the flagged line, or the
 line directly above it, carries
@@ -94,9 +100,15 @@ ALLOC_RE = re.compile(
     r"|\.\s*(?:resize|reserve|push_back|emplace_back)\s*\("
     r"|(?<![A-Za-z0-9_])(?:make_unique|make_shared)\s*<"
 )
+WIRE_DOMAIN_FILES = {"src/pir/wire.cc"}
+
 SERIALIZE_RE = re.compile(
     r"(?<![A-Za-z0-9_])(?:memcpy|memmove)\s*\("
     r"|(?<![A-Za-z0-9_])reinterpret_cast\s*<"
+)
+WIRE_DOMAIN_RE = re.compile(
+    r"(?<![A-Za-z0-9_])"
+    r"(?:loadBfvCiphertext|loadEvkKey|loadRgswCiphertext)\s*\("
 )
 USING_STD_RE = re.compile(r"using\s+namespace\s+std\b")
 CATCH_ALL_RE = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
@@ -128,6 +140,7 @@ ALL_RULES = (
     "catch-all",
     "raw-socket",
     "serving-layering",
+    "wire-domain",
 )
 
 
@@ -281,6 +294,13 @@ def lint_file(f: Findings, root: Path, path: Path) -> None:
                 SERIALIZE_RE,
                 "raw byte access outside the ByteReader/ByteWriter "
                 "bounds discipline")
+        if rel in WIRE_DOMAIN_FILES:
+            check_line_rule(
+                f, rel, raw_lines, code_lines, idx, "wire-domain",
+                WIRE_DOMAIN_RE,
+                "protocol decoder loads ciphertexts of either domain; "
+                "check NTT form after it and name that check in an "
+                "allow()")
         check_line_rule(
             f, rel, raw_lines, code_lines, idx, "using-namespace-std",
             USING_STD_RE, "'using namespace std' is banned")
@@ -416,6 +436,18 @@ def self_test() -> int:
         ("src/obs/x.cc", '#include "common/types.hh"\n', None),
         ("src/pir/x.cc", '// #include "sim/config.hh" once did\n', None),
         ("tests/t.cc", '#include "system/batch_scheduler.hh"\n', None),
+        # Protocol decoders state the domain of what they load.
+        ("src/pir/wire.cc", "keys.evks.push_back(loadEvkKey(r, ctx));\n",
+         "wire-domain"),
+        ("src/pir/wire.cc",
+         "// lint: allow(wire-domain) -- firstNonNttRow() checks it\n"
+         "keys.rgswOfSecret = loadRgswCiphertext(r, ctx);\n", None),
+        ("src/pir/wire.cc",
+         "BfvCiphertext ct = loadBfvCiphertext(r, ring); "
+         "// lint: allow(wire-domain)\n", "wire-domain"),
+        ("src/bfv/rgsw.cc",
+         "rows.push_back(loadBfvCiphertext(r, ctx.ring()));\n", None),
+        ("src/pir/wire.cc", "BfvCiphertext loadNttCiphertext(\n", None),
     ]
 
     failures = 0

@@ -51,8 +51,8 @@ subsInto(const HeContext &ctx, const BfvCiphertext &ct, const EvkKey &evk,
     ive_assert(&ct != &out);
     ive_assert(out.a.isNtt());
     ive_assert(out.a.n() == ring.n && out.a.k() == ring.k());
-    // Keys are normalized to NTT form once at server construction
-    // (PirServer); the key-switch chains below use the rows directly.
+    // Key rows arrive in NTT form (the key decoder rejects any other)
+    // and the key-switch chains below use them directly.
     ive_assert(evk.rows.empty() || (evk.rows[0].a.isNtt() &&
                                     evk.rows[0].b.isNtt()));
 

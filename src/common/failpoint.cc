@@ -38,9 +38,9 @@ Failpoint::evaluateArmed(u64 scope)
         LockGuard lk(mu_);
         if (trig_.mode == Trigger::Mode::Off)
             return {};
-        // Scope filter first: a non-matching evaluation neither counts
-        // a hit nor draws from the Rng, so "fail exactly shard 2" is
-        // deterministic under a concurrent broadcast.
+        // Scope filter first: a non-matching evaluation does not count
+        // a hit, so "fail exactly shard 2" is deterministic under a
+        // concurrent broadcast.
         if (trig_.at != kAnyScope && scope != trig_.at)
             return {};
         ++hits_;
@@ -55,12 +55,6 @@ Failpoint::evaluateArmed(u64 scope)
             break;
         case Trigger::Mode::Every:
             fire = trig_.n > 0 && hits_ % trig_.n == 0;
-            break;
-        case Trigger::Mode::Prob:
-            // One draw per matching evaluation, fire or not: the
-            // decision sequence is a pure function of (seed, hit
-            // index), which is what the determinism tests pin.
-            fire = rng_.uniformReal() < trig_.p;
             break;
         }
         if (fire && trig_.limit > 0 && fires_ >= trig_.limit)
@@ -83,7 +77,6 @@ Failpoint::arm(const Trigger &trigger)
         trig_ = trigger;
         hits_ = 0;
         fires_ = 0;
-        rng_ = Rng(trigger.seed);
         // Stored under mu_ so a blockWhileArmed() waiter between its
         // predicate check and sleep cannot miss the transition.
         armed_.store(trigger.mode != Trigger::Mode::Off,
@@ -184,23 +177,6 @@ parseU64(const std::string &spec, const std::string &tok)
     }
 }
 
-double
-parseProb(const std::string &spec, const std::string &tok)
-{
-    try {
-        size_t pos = 0;
-        double v = std::stod(tok, &pos);
-        if (pos != tok.size() || v < 0.0 || v > 1.0)
-            specError(spec,
-                      "probability must be in [0,1], got '" + tok + "'");
-        return v;
-    } catch (const std::invalid_argument &) {
-        specError(spec, "expected a probability, got '" + tok + "'");
-    } catch (const std::out_of_range &) {
-        specError(spec, "probability out of range '" + tok + "'");
-    }
-}
-
 std::vector<std::string>
 split(const std::string &s, char sep)
 {
@@ -247,12 +223,6 @@ parseTrigger(const std::string &spec, const std::string &expr)
         t.n = parseU64(spec, mode[1]);
         if (t.n == 0)
             specError(spec, "'every' period must be positive");
-    } else if (mode[0] == "prob") {
-        if (mode.size() != 3)
-            specError(spec, "'prob' needs two parameters (prob:P:SEED)");
-        t.mode = Trigger::Mode::Prob;
-        t.p = parseProb(spec, mode[1]);
-        t.seed = parseU64(spec, mode[2]);
     } else {
         specError(spec, "unknown trigger mode '" + mode[0] + "'");
     }

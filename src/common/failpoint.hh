@@ -22,15 +22,10 @@
  *           entry   := name '=' trigger
  *           trigger := mode (',' opt)*
  *           mode    := 'off' | 'always' | 'nth:'N | 'every:'N
- *                    | 'prob:'P':'SEED
  *           opt     := 'arg='N | 'limit='N | 'at='N
  *
  *   nth:N      fires exactly on the N-th matching evaluation (1-based).
  *   every:N    fires on evaluations N, 2N, 3N, ...
- *   prob:P:S   fires with probability P from an Rng seeded with S —
- *              the trigger sequence is a pure function of the seed and
- *              the evaluation sequence, so failure tests replay
- *              identically (same seed => same trigger sequence).
  *   arg=N      site-defined payload (delay milliseconds, hang cap,
  *              corruption offset); hit().arg delivers it.
  *   limit=N    stop firing after N fires (the hit counter keeps
@@ -40,12 +35,13 @@
  *              this is what makes "fail exactly shard 2" deterministic
  *              under a concurrent broadcast.
  *
- * Thread safety: the armed path is fully mutex-guarded (hit counters
- * and the Rng draw under one lock), so concurrent evaluations are
- * TSan-clean and the *number* of fires is deterministic; which thread
- * observes them depends on scheduling unless at= pins the scope.
- * Every fire is recorded in the obs registry as
- * ive_faults_injected_total{point="<name>"}.
+ * Every trigger is a pure function of the matching evaluation
+ * sequence, so failure tests replay identically. Thread safety: the
+ * armed path is fully mutex-guarded (hit counters under one lock), so
+ * concurrent evaluations are TSan-clean and the *number* of fires is
+ * deterministic; which thread observes them depends on scheduling
+ * unless at= pins the scope. Every fire is recorded in the obs
+ * registry as ive_faults_injected_total{point="<name>"}.
  *
  * The canonical sites (README "Robustness" keeps the catalog):
  *
@@ -74,7 +70,6 @@
 #include <vector>
 
 #include "common/annotations.hh"
-#include "common/rng.hh"
 #include "common/types.hh"
 
 namespace ive {
@@ -105,13 +100,10 @@ struct Trigger
         Always,
         Nth,
         Every,
-        Prob,
     };
 
     Mode mode = Mode::Off;
     u64 n = 1;          ///< Period / index for Nth and Every.
-    double p = 0.0;     ///< Fire probability for Prob.
-    u64 seed = 1;       ///< Rng seed for Prob.
     u64 arg = 0;        ///< Site-defined payload.
     u64 limit = 0;      ///< Max fires; 0 = unlimited.
     u64 at = kAnyScope; ///< Scope filter; kAnyScope = match all.
@@ -139,16 +131,6 @@ struct Trigger
         Trigger t;
         t.mode = Mode::Every;
         t.n = k;
-        return t;
-    }
-
-    static Trigger
-    prob(double probability, u64 rng_seed)
-    {
-        Trigger t;
-        t.mode = Mode::Prob;
-        t.p = probability;
-        t.seed = rng_seed;
         return t;
     }
 
@@ -201,8 +183,8 @@ class Failpoint
         return evaluateArmed(scope);
     }
 
-    /** Arms (or re-arms) the point; resets hit/fire counters and
-     *  reseeds the Rng so trigger sequences replay exactly. */
+    /** Arms (or re-arms) the point; resets hit/fire counters so
+     *  trigger sequences replay exactly. */
     void arm(const Trigger &trigger) IVE_EXCLUDES(mu_);
 
     /** Disarms and wakes anything blocked in blockWhileArmed(). */
@@ -231,7 +213,6 @@ class Failpoint
     mutable Mutex mu_;
     CondVar disarmCv_; ///< Signaled by disarm() for hang sites.
     Trigger trig_ IVE_GUARDED_BY(mu_);
-    Rng rng_ IVE_GUARDED_BY(mu_){1};
     u64 hits_ IVE_GUARDED_BY(mu_) = 0;
     u64 fires_ IVE_GUARDED_BY(mu_) = 0;
     obs::Counter &injected_; ///< ive_faults_injected_total{point=...}.

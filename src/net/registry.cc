@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "obs/metrics.hh"
-#include "pir/session.hh"
 #include "pir/wire.hh"
 
 namespace ive::net {
@@ -54,7 +53,7 @@ SessionRegistry::registerClient(u64 client_id,
     // All the expensive and throwing work happens before the lock:
     // params equality via the canonical encoding (two PirParams are
     // the same deployment iff their wire forms match), then key
-    // deserialization + schedule validation + engine construction.
+    // decoding (structure, schedule, NTT form) + engine construction.
     PirParams client_params = deserializeParams(params_blob);
     std::vector<u8> canonical = serializeParams(client_params);
     if (canonical.size() != canonicalParams_.size() ||
@@ -62,8 +61,8 @@ SessionRegistry::registerClient(u64 client_id,
                     canonicalParams_.begin()))
         throw SerializeError(
             "registry: client params do not match this deployment");
-    PirPublicKeys keys =
-        deserializeCompatibleKeys(ctx_, params_, key_blob);
+    auto keys = std::make_shared<const PirPublicKeys>(
+        deserializePublicKeys(ctx_, params_, key_blob));
     u64 bytes = key_blob.size();
     if (bytes > cfg_.memoryBudgetBytes)
         throw Overloaded(strprintf(

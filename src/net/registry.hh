@@ -24,8 +24,8 @@
  *     of its queries is still in flight stays alive until that query
  *     completes, it just stops being findable.
  *
- * Thread-safe; engine construction (key deserialization + NTT-domain
- * normalization, the expensive part) runs outside the lock.
+ * Thread-safe; key decoding (structure, schedule and NTT-form checks,
+ * the expensive part) and engine construction run outside the lock.
  */
 
 #ifndef IVE_NET_REGISTRY_HH
@@ -59,7 +59,7 @@ struct RegistryConfig
     /**
      * Byte budget across all registered sessions, accounted as each
      * session's key-blob size (the dominant per-client cost; the
-     * normalized in-memory keys are the same order of magnitude).
+     * decoded in-memory keys are the same order of magnitude).
      * Exceeding the budget evicts least-recently-used sessions; a
      * single session larger than the whole budget is rejected with
      * Overloaded.

@@ -406,7 +406,6 @@ PirTcpServer::doAccept()
         auto conn = std::make_unique<Connection>(cfg_.maxFrameBytes);
         conn->fd = fd;
         conn->id = id;
-        conn->lastActivityNs = obs::nowNs();
         conn->events = EPOLLIN;
         epoll_event ev{};
         ev.events = EPOLLIN;
@@ -459,7 +458,6 @@ PirTcpServer::handleReadable(Connection &c)
     for (;;) {
         ssize_t n = ::recv(c.fd, buf, sizeof buf, 0);
         if (n > 0) {
-            c.lastActivityNs = obs::nowNs();
             bytesIn_.fetch_add(static_cast<u64>(n),
                                std::memory_order_relaxed);
             nm.bytesIn.add(static_cast<u64>(n));
@@ -471,7 +469,7 @@ PirTcpServer::handleReadable(Connection &c)
                 closeConn(c.id);
                 return false;
             }
-            if (!processFrames(c, c.lastActivityNs))
+            if (!processFrames(c, obs::nowNs()))
                 return false;
             // Backpressure: leave the rest in the kernel buffer.
             if (c.inFlight >= cfg_.maxInFlightPerConnection ||
@@ -577,7 +575,7 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
                          "server is draining");
             return true;
         }
-        // Heavy: nested-blob parse, key normalization and engine
+        // Heavy: nested-blob parse, key decoding and engine
         // construction all run on the dispatch thread, not here.
         ++c.inFlight;
         dispatcher_.submit(
@@ -708,7 +706,6 @@ PirTcpServer::handleWritable(Connection &c)
             c.writeOff += static_cast<size_t>(n);
             c.writeqBytes -= static_cast<u64>(n);
             c.lastWriteProgressNs = obs::nowNs();
-            c.lastActivityNs = c.lastWriteProgressNs;
             bytesOut_.fetch_add(static_cast<u64>(n),
                                 std::memory_order_relaxed);
             nm.bytesOut.add(static_cast<u64>(n));
@@ -789,9 +786,6 @@ PirTcpServer::enforceDeadlines(u64 now_ns)
         static_cast<u64>(cfg_.frameReadDeadlineSec * 1e9);
     u64 stall_ns =
         static_cast<u64>(cfg_.writeStallDeadlineSec * 1e9);
-    u64 idle_ns = cfg_.idleTimeoutSec > 0.0
-                      ? static_cast<u64>(cfg_.idleTimeoutSec * 1e9)
-                      : 0;
     std::vector<u64> ids;
     ids.reserve(conns_.size());
     for (auto &kv : conns_)
@@ -811,10 +805,6 @@ PirTcpServer::enforceDeadlines(u64 now_ns)
         if (c.lastWriteProgressNs != 0 &&
             now_ns > c.lastWriteProgressNs + stall_ns)
             expired = true; // Peer stopped draining responses.
-        if (idle_ns != 0 && c.inFlight == 0 && c.writeq.empty() &&
-            !c.codec.midFrame() &&
-            now_ns > c.lastActivityNs + idle_ns)
-            expired = true;
         if (expired) {
             deadlineCloses_.fetch_add(1, std::memory_order_relaxed);
             nm.deadlineCloses.add(1);
@@ -830,9 +820,6 @@ PirTcpServer::epollTimeoutMs(u64 now_ns) const
         static_cast<u64>(cfg_.frameReadDeadlineSec * 1e9);
     u64 stall_ns =
         static_cast<u64>(cfg_.writeStallDeadlineSec * 1e9);
-    u64 idle_ns = cfg_.idleTimeoutSec > 0.0
-                      ? static_cast<u64>(cfg_.idleTimeoutSec * 1e9)
-                      : 0;
     u64 next = ~u64{0};
     for (const auto &kv : conns_) {
         const Connection &c = *kv.second;
@@ -842,8 +829,6 @@ PirTcpServer::epollTimeoutMs(u64 now_ns) const
             next = std::min(next, c.frameStartNs + frame_ns);
         if (c.lastWriteProgressNs != 0)
             next = std::min(next, c.lastWriteProgressNs + stall_ns);
-        if (idle_ns != 0 && c.inFlight == 0 && c.writeq.empty())
-            next = std::min(next, c.lastActivityNs + idle_ns);
     }
     if (draining_.load() && !conns_.empty())
         next = std::min(next, now_ns + 50'000'000); // Poll drain state.

@@ -81,8 +81,6 @@ struct NetServerConfig
     double frameReadDeadlineSec = 10.0;
     /** A non-empty write queue must make progress within this. */
     double writeStallDeadlineSec = 10.0;
-    /** Fully idle connections close after this; 0 = never. */
-    double idleTimeoutSec = 0.0;
     /** drain() force-closes connections still flushing after this. */
     double drainDeadlineSec = 5.0;
     RegistryConfig registry;
@@ -103,7 +101,7 @@ struct NetServerStats
     u64 bytesIn = 0;
     u64 bytesOut = 0;
     u64 errorFrames = 0;    ///< Typed ErrorResponse frames sent.
-    u64 deadlineCloses = 0; ///< Slowloris/write-stall/idle closes.
+    u64 deadlineCloses = 0; ///< Slowloris/write-stall closes.
     u64 resets = 0;         ///< net.conn.reset failpoint closes.
 };
 
@@ -159,7 +157,6 @@ class PirTcpServer
         std::map<u64, std::vector<u8>> ready; ///< Out-of-order done.
         bool closeAfterFlush = false;
         u32 events = 0;       ///< Current epoll interest mask.
-        u64 lastActivityNs = 0;
         u64 frameStartNs = 0; ///< != 0 while a frame is partial.
         u64 lastWriteProgressNs = 0; ///< != 0 while writeq non-empty.
         u64 stalledUntilNs = 0;      ///< net.read.stall backoff.

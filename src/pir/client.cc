@@ -16,6 +16,22 @@ PirPublicKeys::byteSize(const HeContext &ctx) const
     return total;
 }
 
+std::string
+PirPublicKeys::firstNonNttRow() const
+{
+    auto side = [](const BfvCiphertext &row) {
+        return !row.a.isNtt() ? "a" : !row.b.isNtt() ? "b" : nullptr;
+    };
+    for (size_t t = 0; t < evks.size(); ++t)
+        for (size_t k = 0; k < evks[t].rows.size(); ++k)
+            if (const char *s = side(evks[t].rows[k]))
+                return strprintf("evk %zu row %zu %s-side", t, k, s);
+    for (size_t k = 0; k < rgswOfSecret.rows.size(); ++k)
+        if (const char *s = side(rgswOfSecret.rows[k]))
+            return strprintf("RGSW(s) row %zu %s-side", k, s);
+    return {};
+}
+
 PirClient::PirClient(const HeContext &ctx, const PirParams &params,
                      u64 seed)
     : ctx_(ctx), params_(params), rng_(seed), sk_(ctx, rng_)

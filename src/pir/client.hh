@@ -33,6 +33,9 @@ struct PirPublicKeys
     RgswCiphertext rgswOfSecret;
 
     u64 byteSize(const HeContext &ctx) const;
+    /** The first row with a side outside NTT form, e.g. "evk 2 row 0
+     *  b-side"; empty when all are in the form serving requires. */
+    std::string firstNonNttRow() const;
 };
 
 struct PirQuery

@@ -34,7 +34,7 @@ KsPir::KsPir(const HeContext &ctx, const KsPirParams &params, u64 seed)
     ive_assert(params_.traceSteps >= 0 &&
                params_.traceSteps <= params_.base.expansionDepth());
     client_ = std::make_unique<PirClient>(ctx, params_.base, seed);
-    keys_ = client_->genPublicKeys();
+    keys_ = std::make_shared<const PirPublicKeys>(client_->genPublicKeys());
     db_ = std::make_unique<Database>(ctx, params_.base);
     server_ =
         std::make_unique<PirServer>(ctx, params_.base, db_.get(), keys_);
@@ -73,7 +73,7 @@ BfvCiphertext
 KsPir::answer(const PirQuery &query) const
 {
     BfvCiphertext resp = server_->processAllPlanes(query)[0];
-    return partialTrace(ctx_, resp, keys_.evks, params_.traceSteps);
+    return partialTrace(ctx_, resp, keys_->evks, params_.traceSteps);
 }
 
 std::vector<u64>

@@ -78,7 +78,7 @@ class KsPir
     std::unique_ptr<PirClient> client_;
     std::unique_ptr<Database> db_;
     std::unique_ptr<PirServer> server_;
-    PirPublicKeys keys_;
+    std::shared_ptr<const PirPublicKeys> keys_; ///< Shared with server_.
 };
 
 } // namespace ive

@@ -103,7 +103,8 @@ checkShardTopology(const PirParams &params, u32 shard, u32 num_shards)
 }
 
 PirServer::PirServer(const HeContext &ctx, const PirParams &params,
-                     const Database *db, PirPublicKeys keys, u32 shard,
+                     const Database *db,
+                     std::shared_ptr<const PirPublicKeys> keys, u32 shard,
                      u32 num_shards)
     : ctx_(ctx), params_(params), db_(db), keys_(std::move(keys)),
       shard_(shard), numShards_(num_shards)
@@ -112,29 +113,13 @@ PirServer::PirServer(const HeContext &ctx, const PirParams &params,
     checkShardTopology(params_, shard_, numShards_);
     ive_assert(db_ != nullptr &&
                db_->numEntries() == params_.numEntries());
-    ive_assert(static_cast<int>(keys_.evks.size()) >=
-               params_.expansionDepth());
+    // Key rows are used as they are, in NTT form; the decoder checks it.
+    ive_assert(keys_ != nullptr &&
+               static_cast<int>(keys_->evks.size()) >=
+                   params_.expansionDepth() &&
+               keys_->firstNonNttRow().empty());
 
-    // Expansion and key-switch keys are consumed in NTT form by every
-    // Subs and external product of the serving path. Normalize them
-    // once here instead of checking (or silently mis-using a
-    // coefficient-form key blob — the wire format tags either domain)
-    // inside the expansion: after this, the hot path never transforms a
-    // key again.
     const Ring &ring = ctx_.ring();
-    auto toNttOnce = [&](BfvCiphertext &row) {
-        if (!row.a.isNtt())
-            row.a.toNtt(ring);
-        if (!row.b.isNtt())
-            row.b.toNtt(ring);
-    };
-    for (EvkKey &evk : keys_.evks) {
-        for (BfvCiphertext &row : evk.rows)
-            toNttOnce(row);
-    }
-    for (BfvCiphertext &row : keys_.rgswOfSecret.rows)
-        toNttOnce(row);
-
     for (int t = 0; t < params_.expansionDepth(); ++t) {
         monomials_.push_back(RnsPoly::monomialNtt(
             ctx_.ring(), -static_cast<i64>(u64{1} << t)));
@@ -227,7 +212,7 @@ PirServer::expandAndSelect(const PirQuery &query, int sel_from,
             Node &node = nodes[i];
             PolyWorkspace &ws = PolyWorkspace::local();
             CtLease rotated(ws, ctx_.ring());
-            subsInto(ctx_, node.ct, keys_.evks[t], *rotated, ws);
+            subsInto(ctx_, node.ct, keys_->evks[t], *rotated, ws);
 
             size_t slot = offset[i];
             u64 odd_idx = node.idx + (u64{1} << t);
@@ -311,7 +296,7 @@ PirServer::selectorRows(RgswCiphertext &sel, int k,
     BfvCiphertext &row = sel.rows[static_cast<size_t>(k)];
     row.a = RnsPoly(ctx_.ring(), Domain::Ntt);
     row.b = RnsPoly(ctx_.ring(), Domain::Ntt);
-    externalProductInto(ctx_, keys_.rgswOfSecret, leaf, row,
+    externalProductInto(ctx_, keys_->rgswOfSecret, leaf, row,
                         PolyWorkspace::local());
 }
 
@@ -475,27 +460,6 @@ PirServer::colTor(std::vector<BfvCiphertext> entries,
                                              std::memory_order_relaxed);
         sm.externalProducts.add(num);
     }
-    return entries[0];
-}
-
-BfvCiphertext
-PirServer::colTorScheduled(std::vector<BfvCiphertext> entries,
-                           const std::vector<RgswCiphertext> &sel,
-                           const std::vector<TreeOp> &schedule) const
-{
-    StageMetrics &sm = stageMetrics();
-    obs::StageSpan span(&sm.fold, "fold");
-    ive_assert(entries.size() == (u64{1} << params_.d));
-    ive_assert(validateReductionSchedule(params_.d, schedule));
-    for (const auto &op : schedule) {
-        u64 s = u64{1} << op.depth;
-        u64 base = 2 * s * op.index;
-        foldPairInPlace(entries[base], entries[base + s],
-                        sel[op.depth]);
-    }
-    counters_.externalProducts.fetch_add(schedule.size(),
-                                         std::memory_order_relaxed);
-    sm.externalProducts.add(schedule.size());
     return entries[0];
 }
 

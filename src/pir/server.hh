@@ -30,11 +30,11 @@
 #define IVE_PIR_SERVER_HH
 
 #include <atomic>
+#include <memory>
 
 #include "common/align.hh"
 #include "pir/client.hh"
 #include "pir/database.hh"
-#include "pir/schedule.hh"
 
 namespace ive {
 
@@ -95,11 +95,13 @@ class PirServer
     /**
      * Serves slice `shard` of `num_shards` of the whole database db,
      * which must outlive the engine; the default is the whole store.
-     * Throws std::invalid_argument on a bad topology
-     * (checkShardTopology).
+     * keys (NTT form, as deserializePublicKeys checks) are shared with
+     * every engine built from the same upload. Throws
+     * std::invalid_argument on a bad topology (checkShardTopology).
      */
     PirServer(const HeContext &ctx, const PirParams &params,
-              const Database *db, PirPublicKeys keys, u32 shard = 0,
+              const Database *db,
+              std::shared_ptr<const PirPublicKeys> keys, u32 shard = 0,
               u32 num_shards = 1);
 
     /**
@@ -150,12 +152,6 @@ class PirServer
                          const std::vector<RgswCiphertext> &sel,
                          int sel_offset = 0) const;
 
-    /** ColTor executed in an arbitrary valid schedule order. */
-    BfvCiphertext
-    colTorScheduled(std::vector<BfvCiphertext> entries,
-                    const std::vector<RgswCiphertext> &sel,
-                    const std::vector<TreeOp> &schedule) const;
-
     /**
      * The pipeline for all planes (one expansion, shared): RowSel over
      * the local slice plus its localLevels() leading tournament levels.
@@ -201,7 +197,7 @@ class PirServer
     const HeContext &ctx_;
     PirParams params_;
     const Database *db_;
-    PirPublicKeys keys_;
+    std::shared_ptr<const PirPublicKeys> keys_; ///< Shared, immutable.
     u32 shard_;
     u32 numShards_;
     std::vector<RnsPoly> monomials_; ///< NTT(X^{-2^t}) per tree level.

@@ -93,38 +93,13 @@ ServerSession::ServerSession(const PirParams &params)
 {
 }
 
-PirPublicKeys
-deserializeCompatibleKeys(const HeContext &ctx, const PirParams &params,
-                          std::span<const u8> key_blob)
-{
-    PirPublicKeys keys = deserializePublicKeys(ctx, key_blob);
-    // Protocol-level compatibility: the server indexes evks[t] by
-    // expansion-tree level and assumes the rotation schedule, so a
-    // structurally valid blob from mismatched params must be rejected
-    // here (PirServer's constructor would abort on it).
-    int depth = params.expansionDepth();
-    if (keys.evks.size() < static_cast<u64>(depth))
-        throw SerializeError(strprintf(
-            "key blob has %zu evks, params need %d expansion levels",
-            keys.evks.size(), depth));
-    for (int t = 0; t < depth; ++t) {
-        u64 want = ctx.n() / (u64{1} << t) + 1;
-        if (keys.evks[t].r != want)
-            throw SerializeError(strprintf(
-                "evk %d rotates by %llu, expansion level needs %llu",
-                t, static_cast<unsigned long long>(keys.evks[t].r),
-                static_cast<unsigned long long>(want)));
-    }
-    return keys;
-}
-
 void
 ServerSession::ingestKeys(std::span<const u8> key_blob)
 {
-    PirPublicKeys keys =
-        deserializeCompatibleKeys(ctx_, params_, key_blob);
-    server_ = std::make_unique<PirServer>(ctx_, params_, &db_,
-                                          std::move(keys));
+    server_ = std::make_unique<PirServer>(
+        ctx_, params_, &db_,
+        std::make_shared<const PirPublicKeys>(
+            deserializePublicKeys(ctx_, params_, key_blob)));
 }
 
 const PirServer &

@@ -14,7 +14,9 @@
  *
  * Every server-side caller — ServerSession, the socket front-end's
  * per-client engines (net/server.hh) and the shard coordinator's slice
- * engines (shard/coordinator.hh) — answers a query blob through the one
+ * engines (shard/coordinator.hh) — decodes a key blob once with
+ * deserializePublicKeys, shares the one immutable PirPublicKeys among
+ * the engines built from it, and answers a query blob through the one
  * answerQuery() below. Every pipeline stage and the serializer are
  * deterministic, so response blobs are byte-identical at any thread
  * count; a batch is parallelFor over answer().
@@ -29,16 +31,6 @@
 #include "pir/wire.hh"
 
 namespace ive {
-
-/**
- * Deserializes a public-key blob and validates it against the params'
- * expansion schedule: a structurally valid blob from mismatched params
- * must throw SerializeError here, not abort inside PirServer. Shared
- * by ServerSession::ingestKeys and ShardCoordinator::ingestKeys.
- */
-PirPublicKeys deserializeCompatibleKeys(const HeContext &ctx,
-                                        const PirParams &params,
-                                        std::span<const u8> key_blob);
 
 /**
  * The query path: deserializeQuery -> processAllPlanes -> serialize,

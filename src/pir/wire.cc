@@ -115,6 +115,7 @@ checkConstructible(ByteReader &r, const PirParams &p)
 BfvCiphertext
 loadNttCiphertext(ByteReader &r, const Ring &ring, const char *what)
 {
+    // lint: allow(wire-domain) -- both sides checked for NTT form below
     BfvCiphertext ct = loadBfvCiphertext(r, ring);
     if (!ct.a.isNtt() || !ct.b.isNtt())
         r.fail(strprintf("%s ciphertext must be in NTT form", what));
@@ -206,7 +207,8 @@ serializePublicKeys(const HeContext &ctx, const PirPublicKeys &keys)
 }
 
 PirPublicKeys
-deserializePublicKeys(const HeContext &ctx, std::span<const u8> blob)
+deserializePublicKeys(const HeContext &ctx, const PirParams &params,
+                      std::span<const u8> blob)
 {
     ByteReader r(blob);
     r.readHeader(WireKind::PublicKeys);
@@ -216,10 +218,33 @@ deserializePublicKeys(const HeContext &ctx, std::span<const u8> blob)
     u64 evk_bytes = 16 + static_cast<u64>(ctx.config().ellKs) *
                              bfvCiphertextWireBytes(ctx.ring());
     u64 num_evks = r.readCount(max_evks, evk_bytes, "evk");
-    for (u64 i = 0; i < num_evks; ++i)
+    for (u64 i = 0; i < num_evks; ++i) {
+        // lint: allow(wire-domain) -- firstNonNttRow() below checks it
         keys.evks.push_back(loadEvkKey(r, ctx));
+    }
+    // lint: allow(wire-domain) -- firstNonNttRow() below checks it
     keys.rgswOfSecret = loadRgswCiphertext(r, ctx);
     r.expectEnd();
+
+    // The server indexes evks[t] by expansion-tree level and assumes
+    // the rotation schedule: a blob from mismatched params stops here.
+    int depth = params.expansionDepth();
+    if (keys.evks.size() < static_cast<u64>(depth))
+        throw SerializeError(strprintf(
+            "key blob has %zu evks, params need %d expansion levels",
+            keys.evks.size(), depth));
+    for (int t = 0; t < depth; ++t) {
+        u64 want = ctx.n() / (u64{1} << t) + 1;
+        if (keys.evks[t].r != want)
+            throw SerializeError(strprintf(
+                "evk %d rotates by %llu, expansion level needs %llu",
+                t, static_cast<unsigned long long>(keys.evks[t].r),
+                static_cast<unsigned long long>(want)));
+    }
+    // The server never transforms a key row, and a coefficient-form
+    // row would turn every later answer into a wrong record.
+    if (std::string bad = keys.firstNonNttRow(); !bad.empty())
+        throw SerializeError("key " + bad + " must be in NTT form");
     return keys;
 }
 

@@ -50,7 +50,11 @@ PirParams deserializeParams(std::span<const u8> blob);
 
 std::vector<u8> serializePublicKeys(const HeContext &ctx,
                                     const PirPublicKeys &keys);
+/** The one key decoder: structure, then the params' expansion schedule
+ *  (extra evks accepted), then NTT form for every evk and RGSW(s) row.
+ *  A blob that passes builds a PirServer without aborting. */
 PirPublicKeys deserializePublicKeys(const HeContext &ctx,
+                                    const PirParams &params,
                                     std::span<const u8> blob);
 
 std::vector<u8> serializeQuery(const HeContext &ctx,

@@ -127,9 +127,9 @@ ShardCoordinator::~ShardCoordinator()
 void
 ShardCoordinator::ingestKeys(std::span<const u8> key_blob)
 {
-    // One decode; every engine takes its own copy of the keys.
-    PirPublicKeys keys =
-        deserializeCompatibleKeys(ctx_, params_, key_blob);
+    // One decode and one copy of the keys, shared by every engine.
+    auto keys = std::make_shared<const PirPublicKeys>(
+        deserializePublicKeys(ctx_, params_, key_blob));
     std::vector<std::shared_ptr<const PirServer>> engines;
     engines.reserve(static_cast<size_t>(numShards_) * fo_.replicas);
     for (u32 s = 0; s < numShards_; ++s)
@@ -183,8 +183,7 @@ ShardCoordinator::answerSlice(u32 slice,
             "ShardCoordinator: no client keys ingested yet");
     ive_assert(slice < numShards_);
     CoordMetrics &cm = coordMetrics();
-    const u32 attempts =
-        fo_.maxAttempts ? fo_.maxAttempts : 2 * fo_.replicas;
+    const u32 attempts = 2 * fo_.replicas;
     const u64 t0 = obs::nowNs();
     for (u32 a = 0;; ++a) {
         const u32 r = a % fo_.replicas;

@@ -54,7 +54,7 @@ namespace ive {
  */
 struct FailoverConfig
 {
-    /** Replicas per slice (>= 1). Failover rotates through them. */
+    /** Replicas per slice (>= 1), tried in turn for 2 * replicas attempts. */
     u32 replicas = 1;
     /**
      * Per-shard-call deadline in seconds; 0 disables. When set, each
@@ -63,8 +63,6 @@ struct FailoverConfig
      * joined on coordinator destruction, never blocked on.
      */
     double shardDeadlineSec = 0.0;
-    /** Attempts per slice before ShardUnavailable; 0 = 2 * replicas. */
-    u32 maxAttempts = 0;
     /** Exponential backoff between attempts: min(cap, base * 2^retry). */
     double backoffBaseSec = 0.001;
     double backoffCapSec = 0.050;
@@ -101,9 +99,9 @@ class ShardCoordinator
     Database &database() { return db_; }
 
     /**
-     * Ingests a client's key blob: deserializes it once and builds the
-     * num_shards * replicas slice engines over database(). Slice 0's
-     * first replica also finishes every fold.
+     * Ingests a client's key blob: decodes it once and builds the
+     * num_shards * replicas slice engines over database(), all sharing
+     * that one copy. Slice 0's first replica also finishes every fold.
      */
     void ingestKeys(std::span<const u8> key_blob);
 

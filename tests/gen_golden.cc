@@ -40,7 +40,8 @@ main()
         return golden::entryContent(params, entry, plane);
     });
     PirServer shard0(ctx, params, &db,
-                     deserializeCompatibleKeys(ctx, params, key_blob),
+                     std::make_shared<const PirPublicKeys>(
+                         deserializePublicKeys(ctx, params, key_blob)),
                      golden::kPartialShard, golden::kPartialNumShards);
     std::vector<u8> partial_blob = answerQuery(shard0, query_blob);
 

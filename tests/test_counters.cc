@@ -20,7 +20,9 @@ TEST(Counters, ServerOpCountsMatchModel)
     HeContext ctx(params.he);
     PirClient client(ctx, params, 1);
     Database db = Database::random(ctx, params, 2);
-    PirServer server(ctx, params, &db, client.genPublicKeys());
+    PirServer server(ctx, params, &db,
+                     std::make_shared<const PirPublicKeys>(
+                         client.genPublicKeys()));
 
     server.resetCounters();
     PirQuery q = client.makeQuery(5);

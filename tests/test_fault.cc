@@ -5,8 +5,9 @@
  *
  * The load-bearing properties:
  *
- *   - failpoint triggers are deterministic (same seed => same fire
- *     sequence), so every failure test here replays identically;
+ *   - failpoint triggers are deterministic (the same evaluations
+ *     fire the same way), so every failure test here replays
+ *     identically;
  *   - failover never changes response bytes: every replica of a slice
  *     computes the identical partial, so a retry after an injected
  *     error, timeout, or hang yields the exact monolithic-server blob;
@@ -38,76 +39,12 @@
 #include "common/failpoint.hh"
 #include "common/thread_pool.hh"
 #include "counter_delta.hh"
-#include "shard/coordinator.hh"
-#include "shard/dispatcher.hh"
+#include "fixtures.hh"
 
 using namespace ive;
 namespace names = obs::names;
 
 namespace {
-
-PirParams
-smallParams(u64 d0, int d, int planes = 1)
-{
-    PirParams p = PirParams::testSmall();
-    p.he.n = 256;
-    p.d0 = d0;
-    p.d = d;
-    p.planes = planes;
-    return p;
-}
-
-std::vector<u64>
-dbContent(const PirParams &p, u64 entry, int plane)
-{
-    std::vector<u64> coeffs(p.he.n);
-    for (u64 j = 0; j < p.he.n; ++j)
-        coeffs[j] = (entry * 131 + static_cast<u64>(plane) * 7 + j) &
-                    (p.he.plainModulus - 1);
-    return coeffs;
-}
-
-Database::Generator
-contentGenerator(const PirParams &p)
-{
-    return [p](u64 entry, int plane) {
-        return dbContent(p, entry, plane);
-    };
-}
-
-/** Reference single-server deployment for byte-identity checks. */
-struct Reference
-{
-    explicit Reference(const PirParams &p, u64 seed = 77)
-        : client(p, seed), server(client.paramsBlob())
-    {
-        server.database().fill(contentGenerator(p));
-        server.ingestKeys(client.keyBlob());
-    }
-
-    ClientSession client;
-    ServerSession server;
-};
-
-std::unique_ptr<ShardCoordinator>
-makeCoordinator(Reference &ref, u32 num_shards,
-                const FailoverConfig &fo = {})
-{
-    auto coord = std::make_unique<ShardCoordinator>(
-        ref.client.paramsBlob(), num_shards, fo);
-    coord->database().fill(contentGenerator(ref.client.params()));
-    coord->ingestKeys(ref.client.keyBlob());
-    return coord;
-}
-
-/** Dispatcher work thunk answering through the coordinator. */
-ShardDispatcher::AnswerFn
-viaCoordinator(ShardCoordinator &coord)
-{
-    return [&coord](const std::vector<u8> &blob) {
-        return coord.answer(blob);
-    };
-}
 
 /** Every fault test starts and ends with a disarmed process, so
  *  env-armed recipes (the --faults CI stage) and earlier tests never
@@ -174,27 +111,6 @@ TEST_F(Fault, LimitStopsFiringButKeepsCounting)
     EXPECT_EQ(fires, 2);
     EXPECT_EQ(fp.hits(), 5u); // Hit counting survives the limit.
     EXPECT_EQ(fp.fires(), 2u);
-}
-
-TEST_F(Fault, ProbSameSeedReplaysTheSameSequence)
-{
-    fail::Failpoint &fp = fail::point("test.trigger.prob");
-    auto draw = [&](u64 seed) {
-        fp.arm(fail::Trigger::prob(0.5, seed));
-        std::vector<bool> seq;
-        for (int i = 0; i < 64; ++i)
-            seq.push_back(static_cast<bool>(fp.evaluate()));
-        return seq;
-    };
-    std::vector<bool> a = draw(42);
-    std::vector<bool> b = draw(42);
-    std::vector<bool> c = draw(43);
-    EXPECT_EQ(a, b); // Determinism: seed fixes the fire sequence.
-    EXPECT_NE(a, c);
-    size_t fires = static_cast<size_t>(
-        std::count(a.begin(), a.end(), true));
-    EXPECT_GT(fires, 0u);
-    EXPECT_LT(fires, 64u);
 }
 
 TEST_F(Fault, ScopeFilterCountsOnlyMatchingEvaluations)
@@ -269,7 +185,7 @@ TEST_F(Fault, MalformedSpecThrowsAndArmsNothing)
              "test.spec.bad=nth:two",       // Non-numeric parameter.
              "test.spec.bad=nth:0",         // 1-based index.
              "test.spec.bad=every:0",       // Zero period.
-             "test.spec.bad=prob:1.5:9",    // p outside [0,1].
+             "test.spec.bad=prob:1.5:9",    // Unknown mode too.
              "test.spec.bad=always,zap=1",  // Unknown option.
              "test.spec.bad=always,arg",    // Option without value.
              // A valid head must not arm when the tail is malformed.
@@ -466,7 +382,7 @@ TEST_F(FaultShard, AllReplicasDownDegradesToShardUnavailable)
     fail::point("shard.answer.error").arm(fail::Trigger::always());
     EXPECT_THROW((void)coord->answer(query), ShardUnavailable);
 
-    // Default budget: 2 * replicas attempts; replicas rotate 0,1,0,1
+    // The budget: 2 * replicas attempts; replicas rotate 0,1,0,1
     // so every retry is also a failover.
     EXPECT_EQ(retries(), 3u);
     EXPECT_EQ(failovers(), 3u);

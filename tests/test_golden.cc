@@ -121,7 +121,8 @@ TEST(Golden, ShardReproducesCommittedPartialResponse)
         return golden::entryContent(f.params, entry, plane);
     });
     PirServer shard0(ctx, f.params, &db,
-                     deserializeCompatibleKeys(ctx, f.params, f.key_blob),
+                     std::make_shared<const PirPublicKeys>(
+                         deserializePublicKeys(ctx, f.params, f.key_blob)),
                      golden::kPartialShard, golden::kPartialNumShards);
     for (int threads : {1, 8}) {
         ThreadPool::setGlobalThreads(threads);

@@ -26,9 +26,9 @@
 
 #include "common/failpoint.hh"
 #include "counter_delta.hh"
+#include "fixtures.hh"
 #include "net/client.hh"
 #include "net/server.hh"
-#include "pir/session.hh"
 
 using namespace ive;
 using net::FrameCodec;
@@ -52,26 +52,13 @@ netParams(u64 d0 = 8, int d = 1)
     return p;
 }
 
-/** Deterministic database content shared by both serving paths. */
-std::vector<u64>
-dbContent(const PirParams &p, u64 entry, int plane)
-{
-    std::vector<u64> coeffs(p.he.n);
-    for (u64 j = 0; j < p.he.n; ++j)
-        coeffs[j] = (entry * 131 + static_cast<u64>(plane) * 7 + j) &
-                    (p.he.plainModulus - 1);
-    return coeffs;
-}
-
 /** TCP server over a deterministically filled shared database. */
 struct NetFixture
 {
     explicit NetFixture(net::NetServerConfig cfg = latencyConfig())
         : params(netParams()), ctx(params.he), db(ctx, params)
     {
-        db.fill([&](u64 entry, int plane) {
-            return dbContent(params, entry, plane);
-        });
+        db.fill(contentGenerator(params));
         server.emplace(ctx, params, &db, cfg);
     }
 
@@ -106,10 +93,7 @@ struct RefServer
     explicit RefServer(ClientSession &client)
         : sess(client.paramsBlob())
     {
-        const PirParams &p = sess.params();
-        sess.database().fill([&](u64 entry, int plane) {
-            return dbContent(p, entry, plane);
-        });
+        sess.database().fill(contentGenerator(sess.params()));
         sess.ingestKeys(client.keyBlob());
     }
 
@@ -229,9 +213,7 @@ struct RegistryFixture
                              net::RegistryConfig cfg = {})
         : params(netParams()), ctx(params.he), db(ctx, params)
     {
-        db.fill([&](u64 entry, int plane) {
-            return dbContent(params, entry, plane);
-        });
+        db.fill(contentGenerator(params));
         for (int i = 0; i < num_clients; ++i)
             clients.emplace_back(params, 100 + static_cast<u64>(i));
         registry.emplace(ctx, params, &db, cfg);
@@ -589,6 +571,14 @@ TEST(NetServer, ThunkErrorsArriveAsTypedFrames)
     EXPECT_THROW(
         (void)tcp.registerKeys(8, alien.paramsBlob(), alien.keyBlob()),
         SerializeError);
+
+    // The registration thunk rejects a key blob whose first evk row
+    // (a-side domain tag at byte 30) is not in NTT form.
+    std::vector<u8> bad_keys = cl.keyBlob();
+    ASSERT_EQ(bad_keys[30], 1u);
+    bad_keys[30] = 0;
+    EXPECT_THROW((void)tcp.registerKeys(7, cl.paramsBlob(), bad_keys),
+                 SerializeError);
 
     // The query thunk rejects a well-formed QueryRef whose nested blob
     // is a Params blob, not a Query.

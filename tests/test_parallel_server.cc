@@ -11,38 +11,12 @@
 #include <vector>
 
 #include "common/thread_pool.hh"
+#include "fixtures.hh"
 #include "modmath/primes.hh"
-#include "pir/server.hh"
 
 using namespace ive;
 
 namespace {
-
-PirParams
-smallParams(u64 d0, int d, int planes = 1)
-{
-    PirParams p = PirParams::testSmall();
-    p.he.n = 256;
-    p.d0 = d0;
-    p.d = d;
-    p.planes = planes;
-    return p;
-}
-
-struct PirFixture
-{
-    PirFixture(const PirParams &params, u64 seed)
-        : ctx(params.he), client(ctx, params, seed),
-          db(Database::random(ctx, params, seed + 1)),
-          server(ctx, params, &db, client.genPublicKeys())
-    {
-    }
-
-    HeContext ctx;
-    PirClient client;
-    Database db;
-    PirServer server;
-};
 
 bool
 ctEqual(const BfvCiphertext &x, const BfvCiphertext &y)

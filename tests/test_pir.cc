@@ -7,36 +7,11 @@
 
 #include "bfv/noise.hh"
 #include "common/thread_pool.hh"
-#include "pir/server.hh"
+#include "fixtures.hh"
 
 using namespace ive;
 
 namespace {
-
-PirParams
-smallParams(u64 d0, int d)
-{
-    PirParams p = PirParams::testSmall();
-    p.he.n = 256;
-    p.d0 = d0;
-    p.d = d;
-    return p;
-}
-
-struct PirFixture
-{
-    PirFixture(const PirParams &params, u64 seed)
-        : ctx(params.he), client(ctx, params, seed),
-          db(Database::random(ctx, params, seed + 1)),
-          server(ctx, params, &db, client.genPublicKeys())
-    {
-    }
-
-    HeContext ctx;
-    PirClient client;
-    Database db;
-    PirServer server;
-};
 
 /** One single-plane answer: the whole pipeline on one query. */
 BfvCiphertext
@@ -184,8 +159,12 @@ TEST(Pir, TwoClientsWithDistinctKeys)
 
     PirClient alice(ctx, params, 1000);
     PirClient bob(ctx, params, 2000);
-    PirServer srvA(ctx, params, &db, alice.genPublicKeys());
-    PirServer srvB(ctx, params, &db, bob.genPublicKeys());
+    PirServer srvA(ctx, params, &db,
+                   std::make_shared<const PirPublicKeys>(
+                       alice.genPublicKeys()));
+    PirServer srvB(ctx, params, &db,
+                   std::make_shared<const PirPublicKeys>(
+                       bob.genPublicKeys()));
 
     auto respA = answerOne(srvA, alice.makeQuery(3));
     auto respB = answerOne(srvB, bob.makeQuery(30));

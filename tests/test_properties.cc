@@ -42,7 +42,9 @@ expectRoundTrip(const PirParams &params, u64 seed)
     HeContext ctx(params.he);
     PirClient client(ctx, params, seed);
     Database db = Database::random(ctx, params, seed + 1);
-    PirServer server(ctx, params, &db, client.genPublicKeys());
+    PirServer server(ctx, params, &db,
+                     std::make_shared<const PirPublicKeys>(
+                         client.genPublicKeys()));
     u64 target = (seed * 13) % params.numEntries();
     BfvCiphertext resp =
         server.processAllPlanes(client.makeQuery(target))[0];
@@ -89,7 +91,9 @@ TEST(Properties, DeterministicGivenSeeds)
         HeContext ctx(params.he);
         PirClient client(ctx, params, 9);
         Database db = Database::random(ctx, params, 10);
-        PirServer server(ctx, params, &db, client.genPublicKeys());
+        PirServer server(ctx, params, &db,
+                         std::make_shared<const PirPublicKeys>(
+                             client.genPublicKeys()));
         return client.decode(
             server.processAllPlanes(client.makeQuery(11))[0]);
     };

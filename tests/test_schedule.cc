@@ -112,13 +112,16 @@ TEST(Schedule, ColTorScheduleOrderInvariance)
     HeContext ctx(params.he);
     PirClient client(ctx, params, 31);
     Database db = Database::random(ctx, params, 32);
-    PirServer server(ctx, params, &db, client.genPublicKeys());
+    PirServer server(ctx, params, &db,
+                     std::make_shared<const PirPublicKeys>(
+                         client.genPublicKeys()));
 
     u64 target = 37;
     PirQuery q = client.makeQuery(target);
     std::vector<RgswCiphertext> selectors;
     auto leaves = server.expandAndSelect(q, 0, params.d, selectors);
     auto entries = server.rowSel(leaves);
+    BfvCiphertext bfs = server.colTor(entries, selectors);
 
     std::vector<std::vector<TreeOp>> orders;
     orders.push_back(makeReductionSchedule(
@@ -130,16 +133,20 @@ TEST(Schedule, ColTorScheduleOrderInvariance)
     orders.push_back(makeReductionSchedule(
         params.d, {ScheduleKind::HS, false, 3}));
 
-    std::vector<u64> reference;
     for (const auto &order : orders) {
-        BfvCiphertext resp =
-            server.colTorScheduled(entries, selectors, order);
-        auto dec = client.decode(resp);
-        EXPECT_EQ(dec, db.entryCoeffs(target));
-        if (reference.empty())
-            reference = dec;
-        else
-            EXPECT_EQ(dec, reference);
+        ASSERT_TRUE(validateReductionSchedule(params.d, order));
+        // Op (t, j) folds e[2 * 2^t * j] with e[2 * 2^t * j + 2^t]
+        // under level t's selector: a two-entry colTor at offset t.
+        std::vector<BfvCiphertext> e = entries;
+        for (const TreeOp &op : order) {
+            u64 s = u64{1} << op.depth;
+            u64 base = 2 * s * op.index;
+            e[base] = server.colTor({e[base], e[base + s]}, selectors,
+                                    op.depth);
+        }
+        EXPECT_EQ(e[0].a, bfs.a);
+        EXPECT_EQ(e[0].b, bfs.b);
+        EXPECT_EQ(client.decode(e[0]), db.entryCoeffs(target));
     }
 }
 

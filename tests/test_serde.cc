@@ -568,6 +568,58 @@ TEST(Serde, ResponsesRejectCoefficientDomainPlanes)
               std::vector<u64>(params.he.n, 3));
 }
 
+TEST(Serde, KeyUploadsRejectCoefficientDomainRows)
+{
+    // The serving path uses key rows as they are, so a key row tagged
+    // with the coefficient domain must fail registration instead of
+    // turning every later answer into a wrong record. Layout after the
+    // 6-byte header and the u64 evk count: each evk is r and a row
+    // count (u64s) then ellKs rows; RGSW(s) is ell and a row count then
+    // 2 * ell rows. Each row's a-side domain tag is its first byte, the
+    // b-side tag follows one polynomial later.
+    PirParams params = tinyParams();
+    ClientSession client(params, 11);
+    const HeContext &ctx = client.context();
+    const std::vector<u8> blob = client.keyBlob();
+    const u64 poly_bytes = 1 + ctx.ring().words() * 8;
+    const u64 row_bytes = 2 * poly_bytes;
+    const u64 evk_bytes =
+        16 + static_cast<u64>(params.he.ellKs) * row_bytes;
+    const u64 num_evks = static_cast<u64>(params.expansionDepth());
+    std::vector<u64> rows;
+    for (u64 t = 0; t < num_evks; ++t)
+        for (int k = 0; k < params.he.ellKs; ++k)
+            rows.push_back(14 + t * evk_bytes + 16 + k * row_bytes);
+    const u64 rgsw_rows = 14 + num_evks * evk_bytes + 16;
+    for (int k = 0; k < 2 * params.he.ellRgsw; ++k)
+        rows.push_back(rgsw_rows + k * row_bytes);
+    ASSERT_EQ(rows.back() + row_bytes, blob.size());
+
+    for (u64 row : rows) {
+        for (u64 side = 0; side < 2; ++side) {
+            std::vector<u8> bad = blob;
+            ASSERT_EQ(bad[row + side * poly_bytes], 1u);
+            bad[row + side * poly_bytes] = 0;
+            EXPECT_NE(throwMessage([&] {
+                          deserializePublicKeys(ctx, params, bad);
+                      }).find("NTT form"),
+                      std::string::npos)
+                << "row at byte " << row << ", side " << side;
+        }
+    }
+
+    // Byte 30 is the first evk row's a-side tag. Both ingest paths
+    // reject the blob; the untouched blob still ingests.
+    std::vector<u8> bad = blob;
+    bad[30] = 0;
+    ServerSession server(client.paramsBlob());
+    EXPECT_THROW(server.ingestKeys(bad), SerializeError);
+    ShardCoordinator coord(client.paramsBlob(), 2);
+    EXPECT_THROW(coord.ingestKeys(bad), SerializeError);
+    EXPECT_NO_THROW(server.ingestKeys(blob));
+    EXPECT_NO_THROW(coord.ingestKeys(blob));
+}
+
 TEST(Serde, PublicKeysRoundTrip)
 {
     SerdeFixture f;
@@ -575,7 +627,7 @@ TEST(Serde, PublicKeysRoundTrip)
     PirPublicKeys keys = client.genPublicKeys();
     std::vector<u8> blob = serializePublicKeys(f.ctx, keys);
 
-    PirPublicKeys back = deserializePublicKeys(f.ctx, blob);
+    PirPublicKeys back = deserializePublicKeys(f.ctx, f.params, blob);
     ASSERT_EQ(back.evks.size(), keys.evks.size());
     for (size_t i = 0; i < keys.evks.size(); ++i)
         EXPECT_EQ(back.evks[i].r, keys.evks[i].r);
@@ -593,12 +645,12 @@ TEST(Serde, PublicKeysTruncationCoarseSweep)
     // The blob is ~750 KB; probe a coarse grid plus the first bytes.
     for (size_t len = 0; len < 64 && len < blob.size(); ++len) {
         EXPECT_THROW(deserializePublicKeys(
-                         f.ctx, std::span(blob.data(), len)),
+                         f.ctx, f.params, std::span(blob.data(), len)),
                      SerializeError);
     }
     for (size_t len = 0; len < blob.size(); len += blob.size() / 37) {
         EXPECT_THROW(deserializePublicKeys(
-                         f.ctx, std::span(blob.data(), len)),
+                         f.ctx, f.params, std::span(blob.data(), len)),
                      SerializeError);
     }
 }
@@ -610,7 +662,9 @@ TEST(Serde, DeserializedQueryAnswersIdentically)
     SerdeFixture f;
     PirClient client(f.ctx, f.params, 3);
     Database db = Database::random(f.ctx, f.params, 4);
-    PirServer server(f.ctx, f.params, &db, client.genPublicKeys());
+    PirServer server(f.ctx, f.params, &db,
+                     std::make_shared<const PirPublicKeys>(
+                         client.genPublicKeys()));
 
     PirQuery q = client.makeQuery(6);
     PirQuery q2 =

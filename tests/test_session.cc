@@ -12,41 +12,16 @@
 #include <gtest/gtest.h>
 
 #include "common/thread_pool.hh"
-#include "pir/session.hh"
+#include "fixtures.hh"
 
 using namespace ive;
 
 namespace {
 
-PirParams
-smallParams(u64 d0, int d, int planes = 1)
-{
-    PirParams p = PirParams::testSmall();
-    p.he.n = 256;
-    p.d0 = d0;
-    p.d = d;
-    p.planes = planes;
-    return p;
-}
-
-/** Deterministic database content shared by both endpoints' checks. */
-std::vector<u64>
-dbContent(const PirParams &p, u64 entry, int plane)
-{
-    std::vector<u64> coeffs(p.he.n);
-    for (u64 j = 0; j < p.he.n; ++j)
-        coeffs[j] = (entry * 131 + static_cast<u64>(plane) * 7 + j) &
-                    (p.he.plainModulus - 1);
-    return coeffs;
-}
-
 void
 fillDatabase(ServerSession &server)
 {
-    const PirParams &p = server.params();
-    server.database().fill([&](u64 entry, int plane) {
-        return dbContent(p, entry, plane);
-    });
+    server.database().fill(contentGenerator(server.params()));
 }
 
 /** A batch is parallelFor over answer(): queries are independent. */

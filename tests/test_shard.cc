@@ -18,78 +18,10 @@
 
 #include "common/thread_pool.hh"
 #include "counter_delta.hh"
-#include "shard/coordinator.hh"
-#include "shard/dispatcher.hh"
+#include "fixtures.hh"
 
 using namespace ive;
 namespace names = obs::names;
-
-namespace {
-
-PirParams
-smallParams(u64 d0, int d, int planes = 1)
-{
-    PirParams p = PirParams::testSmall();
-    p.he.n = 256;
-    p.d0 = d0;
-    p.d = d;
-    p.planes = planes;
-    return p;
-}
-
-/** Deterministic database content shared by all endpoints' checks. */
-std::vector<u64>
-dbContent(const PirParams &p, u64 entry, int plane)
-{
-    std::vector<u64> coeffs(p.he.n);
-    for (u64 j = 0; j < p.he.n; ++j)
-        coeffs[j] = (entry * 131 + static_cast<u64>(plane) * 7 + j) &
-                    (p.he.plainModulus - 1);
-    return coeffs;
-}
-
-Database::Generator
-contentGenerator(const PirParams &p)
-{
-    return [p](u64 entry, int plane) {
-        return dbContent(p, entry, plane);
-    };
-}
-
-/** Reference single-server deployment for byte-identity checks. */
-struct Reference
-{
-    explicit Reference(const PirParams &p, u64 seed = 77)
-        : client(p, seed), server(client.paramsBlob())
-    {
-        server.database().fill(contentGenerator(p));
-        server.ingestKeys(client.keyBlob());
-    }
-
-    ClientSession client;
-    ServerSession server;
-};
-
-std::unique_ptr<ShardCoordinator>
-makeCoordinator(Reference &ref, u32 num_shards)
-{
-    auto coord = std::make_unique<ShardCoordinator>(
-        ref.client.paramsBlob(), num_shards);
-    coord->database().fill(contentGenerator(ref.client.params()));
-    coord->ingestKeys(ref.client.keyBlob());
-    return coord;
-}
-
-/** Dispatcher work thunk answering through the coordinator. */
-ShardDispatcher::AnswerFn
-viaCoordinator(ShardCoordinator &coord)
-{
-    return [&coord](const std::vector<u8> &blob) {
-        return coord.answer(blob);
-    };
-}
-
-} // namespace
 
 // ------------------------------------------------------------- topology
 
@@ -99,8 +31,8 @@ TEST(Shard, RejectsBadTopology)
     ClientSession client(params, 3);
     HeContext ctx(params.he);
     Database db(ctx, params);
-    PirPublicKeys keys =
-        deserializeCompatibleKeys(ctx, params, client.keyBlob());
+    auto keys = std::make_shared<const PirPublicKeys>(
+        deserializePublicKeys(ctx, params, client.keyBlob()));
     auto engine = [&](u32 shard, u32 num_shards) {
         return PirServer(ctx, params, &db, keys, shard, num_shards);
     };
@@ -131,8 +63,8 @@ TEST(Shard, SliceEngineAnswersWithItsPartialResponse)
     HeContext ctx(params.he);
     Database db(ctx, params);
     db.fill(contentGenerator(params));
-    PirPublicKeys keys =
-        deserializeCompatibleKeys(ctx, params, ref.client.keyBlob());
+    auto keys = std::make_shared<const PirPublicKeys>(
+        deserializePublicKeys(ctx, params, ref.client.keyBlob()));
     for (u32 s = 0; s < 2; ++s) {
         PirServer engine(ctx, params, &db, keys, s, 2);
         EXPECT_EQ(engine.shard(), s);
