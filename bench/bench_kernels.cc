@@ -16,6 +16,7 @@
 #include "modmath/solinas.hh"
 #include "pir/params.hh"
 #include "poly/kernels.hh"
+#include "poly/workspace.hh"
 
 using namespace ive;
 
@@ -128,20 +129,18 @@ static void
 BM_MacChainFused(benchmark::State &state)
 {
     // A D0 = 64-long RowSel-style MAC chain over one residue plane:
-    // u128 accumulation with one deferred Barrett pass.
+    // u64 accumulation in the destination, one deferred Barrett pass.
     auto &f = fixture();
     const Ring &ring = f.ctx.ring();
     const Modulus &mod = ring.base.modulus(0);
     std::span<const u64> a = f.dbEntry.residues(0);
     std::span<const u64> b = f.ct.a.residues(0);
-    std::vector<u128> acc(ring.n);
     std::vector<u64> out(ring.n);
     for (auto _ : state) {
-        std::fill(acc.begin(), acc.end(), u128{0});
         for (int c = 0; c < 64; ++c)
-            kernels::macAccumulate(acc.data(), a.data(), b.data(),
-                                   ring.n);
-        kernels::macReduce(out.data(), acc.data(), ring.n, mod);
+            kernels::chainMacAcc(mod, 64, ring.n, out.data(), a.data(),
+                                 b.data(), c == 0);
+        kernels::chainMacFinish(mod, 64, ring.n, out.data());
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * 64 * ring.n);
@@ -211,13 +210,19 @@ BM_RowSelMac(benchmark::State &state)
 }
 BENCHMARK(BM_RowSelMac);
 
+// The serving calls themselves: *Into with workspace leases, as
+// PirServer runs them (the allocating wrappers add two polys and a
+// digit vector per call).
+
 static void
 BM_ExternalProduct(benchmark::State &state)
 {
     auto &f = fixture();
+    PolyWorkspace &ws = PolyWorkspace::local();
+    CtLease out(ws, f.ctx.ring());
     for (auto _ : state) {
-        BfvCiphertext out = externalProduct(f.ctx, f.rgsw, f.ct);
-        benchmark::DoNotOptimize(out);
+        externalProductInto(f.ctx, f.rgsw, f.ct, *out, ws);
+        benchmark::DoNotOptimize(out->a.residues(0).data());
     }
 }
 BENCHMARK(BM_ExternalProduct);
@@ -226,9 +231,11 @@ static void
 BM_Subs(benchmark::State &state)
 {
     auto &f = fixture();
+    PolyWorkspace &ws = PolyWorkspace::local();
+    CtLease out(ws, f.ctx.ring());
     for (auto _ : state) {
-        BfvCiphertext out = subs(f.ctx, f.ct, f.evk);
-        benchmark::DoNotOptimize(out);
+        subsInto(f.ctx, f.ct, f.evk, *out, ws);
+        benchmark::DoNotOptimize(out->a.residues(0).data());
     }
 }
 BENCHMARK(BM_Subs);
@@ -237,11 +244,16 @@ static void
 BM_GadgetDecompose(benchmark::State &state)
 {
     auto &f = fixture();
+    const Ring &ring = f.ctx.ring();
     RnsPoly a = f.ct.a;
-    a.fromNtt(f.ctx.ring());
+    a.fromNtt(ring);
+    PolyWorkspace &ws = PolyWorkspace::local();
+    const Gadget &g = f.ctx.gadgetRgsw();
     for (auto _ : state) {
-        auto digits = decomposePoly(f.ctx, f.ctx.gadgetRgsw(), a);
-        benchmark::DoNotOptimize(digits);
+        PolyVecLease digits(ws, ring, Domain::Coeff,
+                            static_cast<u64>(g.ell()));
+        decomposePolyInto(f.ctx, g, a, *digits);
+        benchmark::DoNotOptimize(digits[0].residues(0).data());
     }
 }
 BENCHMARK(BM_GadgetDecompose);
@@ -324,16 +336,38 @@ isaMacChain(benchmark::State &state, const simd::Kernels *k)
     const Modulus &mod = ring.base.modulus(0);
     std::span<const u64> a = f.dbEntry.residues(0);
     std::span<const u64> b = f.ct.a.residues(0);
-    std::vector<u128> acc(ring.n);
     std::vector<u64> out(ring.n);
     for (auto _ : state) {
-        std::fill(acc.begin(), acc.end(), u128{0});
         for (int c = 0; c < 64; ++c)
-            k->macAccumulate(acc.data(), a.data(), b.data(), ring.n);
-        k->macReduce(out.data(), acc.data(), ring.n, mod);
+            k->macChainLink(out.data(), a.data(), b.data(), ring.n,
+                            c == 0);
+        k->macChainReduce(out.data(), ring.n, mod);
         benchmark::DoNotOptimize(out.data());
     }
     state.SetItemsProcessed(state.iterations() * 64 * ring.n);
+}
+
+void
+isaDigitDecompose(benchmark::State &state, const simd::Kernels *k)
+{
+    // The iCRT + digit extraction of one key-switch decomposition (the
+    // kernel pass of decomposePolyInto, without the NTTs).
+    auto &f = fixture();
+    const Ring &ring = f.ctx.ring();
+    RnsPoly a = f.ct.a;
+    a.fromNtt(ring);
+    const simd::DigitPlan plan = f.ctx.gadgetKs().digitPlan();
+    std::vector<RnsPoly> digits(static_cast<size_t>(plan.ell),
+                                RnsPoly(ring, Domain::Coeff));
+    std::vector<u64 *> dst;
+    for (RnsPoly &d : digits)
+        dst.push_back(d.residues(0).data());
+    for (auto _ : state) {
+        k->decomposeDigits(plan, a.residues(0).data(), ring.n, 0, ring.n,
+                           dst.data());
+        benchmark::DoNotOptimize(dst[0]);
+    }
+    state.SetItemsProcessed(state.iterations() * ring.n);
 }
 
 void
@@ -365,6 +399,7 @@ registerIsaBenches()
         registerIsaBench("NttForward", k, &isaNttForward);
         registerIsaBench("NttInverse", k, &isaNttInverse);
         registerIsaBench("MacChain", k, &isaMacChain);
+        registerIsaBench("DigitDecompose", k, &isaDigitDecompose);
         registerIsaBench("ApplyCoeffMap", k, &isaApplyCoeffMap);
     }
     return 0;

@@ -55,6 +55,14 @@
 # tracing overhead on the median answer latency below 1% (log-only on
 # single-core runners, where the comparison is scheduling noise).
 #
+# Every full run also builds the benchmark (perfbench/, read-only
+# here): `perfbench/run.py --self-test` configures it into
+# build-perfbench and runs its self-tests, then the ive_ledger target
+# is built there. The ledger reads library internals (the u128
+# macAccumulate table entry, ServerCounters, NetServerStats,
+# RegistryStats), so a src/ change that breaks it fails CI, not the
+# next benchmark run.
+#
 # The ASan/UBSan stage runs the same suites (including test_simd's
 # backend sweeps) with the vector TUs instrumented, so out-of-bounds
 # lane loads/stores in the intrinsics paths surface there. The TSan
@@ -240,13 +248,20 @@ else
 fi
 
 if [ "$QUICK" -eq 0 ]; then
+    echo "=== benchmark build: perfbench self-test + ive_ledger ==="
+    CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py --self-test
+    cmake --build build-perfbench -j "$JOBS" --target ive_ledger
+fi
+
+if [ "$QUICK" -eq 0 ]; then
     echo "=== checked build: IVE_CHECK_RANGES=ON + scalar tier-1 ==="
     # The scalar backend audits every documented lazy-range bound
     # (src/poly/simd/kernels_scalar.cc); forcing scalar dispatch runs
-    # the whole pipeline through the audited kernels, including the
-    # RowSel merge's per-partial contract (acc >> 64 < 2^32
-    # before mergeMacPartial, kernels.hh). test_contracts additionally
-    # proves the audits *fire* on corrupted values.
+    # the whole pipeline through the audited kernels, including every
+    # u64 MAC chain's no-wrap contract (each link's raw sum stays below
+    # 2^64, the bound kernels::fusedMacOk sizes chains by) and the
+    # digit decomposer's canonical-input contract. test_contracts
+    # additionally proves the audits *fire* on corrupted values.
     cmake -B build-checked -S . -DCMAKE_BUILD_TYPE=Release \
           -DIVE_CHECK_RANGES=ON \
           -DIVE_BUILD_BENCHES=OFF -DIVE_BUILD_EXAMPLES=OFF

@@ -58,7 +58,6 @@ subsInto(const HeContext &ctx, const BfvCiphertext &ct, const EvkKey &evk,
 
     const u64 n = ring.n;
     const int nk = ring.k();
-    const u64 words = ring.words();
 
     // Automorphism on both polynomials (coefficient domain); the
     // index/flip map depends only on (r, n), so build it once and
@@ -97,40 +96,34 @@ subsInto(const HeContext &ctx, const BfvCiphertext &ct, const EvkKey &evk,
 
     // Phase 2: key switch sigma_r(a) back under s: out.a =
     // sum_k d_k * evk_k.a, out.b = sigma_r(b) + sum_k d_k * evk_k.b,
-    // with the ellKs-long chains reduced lazily for fused primes.
+    // with the ellKs-long chains reduced once for fused primes.
     PolyVecLease digits(ws, ring, Domain::Coeff, ell);
-    decomposePolyInto(ctx, gadget, *a_rot, *digits, ws);
+    decomposePolyInto(ctx, gadget, *a_rot, *digits);
 
     // Phase 3: per-plane tasks, each running both sides' key-switch
     // chains for its plane in the exact serial link order (k
-    // ascending, a then b per digit). One task per plane keeps each
-    // digit plane cache-hot across its two uses, matching the serial
-    // code's memory traffic; the per-accumulator order never changes,
-    // so outputs are byte-identical at any thread count. No
-    // chainMacBegin on out.b: it already holds sigma_r(b), the chain's
-    // addend.
-    AccLease acc(ws, 2 * words);
-    u128 *acc_a = acc.data();
-    u128 *acc_b = acc.data() + words;
+    // ascending, a then b per digit), accumulating in the output planes
+    // themselves. One task per plane keeps each digit plane cache-hot
+    // across its two uses; the per-plane order never changes, so
+    // outputs are byte-identical at any thread count. out.a's first
+    // link stores; out.b already holds sigma_r(b), the chain's addend.
+    const u64 links = static_cast<u64>(ell);
     parallelFor(0, static_cast<u64>(nk), [&](u64 t) {
         int p = static_cast<int>(t);
         const Modulus &mod = ring.base.modulus(p);
         u64 *oa = out.a.residues(p).data();
         u64 *ob = out.b.residues(p).data();
-        u128 *aa = acc_a + static_cast<u64>(p) * n;
-        u128 *ab = acc_b + static_cast<u64>(p) * n;
-        kernels::chainMacBegin(mod, n, oa);
         for (int k = 0; k < ell; ++k) {
             const u64 *pd =
                 digits[static_cast<size_t>(k)].residues(p).data();
             const BfvCiphertext &row = evk.rows[static_cast<size_t>(k)];
-            kernels::chainMacAcc(mod, n, aa, oa, pd,
-                                 row.a.residues(p).data());
-            kernels::chainMacAcc(mod, n, ab, ob, pd,
-                                 row.b.residues(p).data());
+            kernels::chainMacAcc(mod, links, n, oa, pd,
+                                 row.a.residues(p).data(), k == 0);
+            kernels::chainMacAcc(mod, links, n, ob, pd,
+                                 row.b.residues(p).data(), false);
         }
-        kernels::chainMacFinish(mod, n, aa, oa, false);
-        kernels::chainMacFinish(mod, n, ab, ob, true);
+        kernels::chainMacFinish(mod, links, n, oa);
+        kernels::chainMacFinish(mod, links, n, ob);
     });
 }
 

@@ -19,15 +19,13 @@ decomposePoly(const HeContext &ctx, const Gadget &gadget,
     digits.reserve(ell);
     for (int k = 0; k < ell; ++k)
         digits.emplace_back(ring, Domain::Coeff);
-    decomposePolyInto(ctx, gadget, poly_coeff, digits,
-                      PolyWorkspace::local());
+    decomposePolyInto(ctx, gadget, poly_coeff, digits);
     return digits;
 }
 
 void
 decomposePolyInto(const HeContext &ctx, const Gadget &gadget,
-                  const RnsPoly &poly_coeff, std::span<RnsPoly> digits,
-                  PolyWorkspace &ws)
+                  const RnsPoly &poly_coeff, std::span<RnsPoly> digits)
 {
     const Ring &ring = ctx.ring();
     ive_assert(!poly_coeff.isNtt());
@@ -37,49 +35,26 @@ decomposePolyInto(const HeContext &ctx, const Gadget &gadget,
         ive_assert(!d.isNtt() && d.n() == ring.n);
 
     const int nk = ring.k();
-    // Scratch is leased inside each task from the *executing* thread's
-    // workspace (== ws for inline chunks); ws stays in the signature so
-    // call sites keep the workspace explicit.
-    (void)ws;
 
     // Coefficient ranges are independent (each i writes only slot i of
-    // every digit's plane 0), so the iCRT + bit-extraction sweep chunks
-    // across the pool; the per-coefficient work is tens of nanoseconds,
-    // hence the coarse grain. Nested calls (RowSel columns, fold pairs
-    // on workers) run the whole range inline as before.
+    // every digit plane), so the iCRT + digit sweep chunks across the
+    // pool; the per-coefficient work is a few nanoseconds, hence the
+    // coarse grain. Nested calls (RowSel columns, fold pairs on
+    // workers) run the whole range inline. The kernel writes each
+    // digit into all k planes, so the transforms below follow with no
+    // replicate pass in between.
+    const simd::DigitPlan plan = gadget.digitPlan();
+    u64 *dst[simd::kMaxDigits];
+    for (int k = 0; k < ell; ++k)
+        dst[k] = digits[static_cast<size_t>(k)].residues(0).data();
+    const u64 *src = poly_coeff.residues(0).data();
+    const simd::Kernels &kern = simd::active();
     parallelForChunked(0, ring.n, 512, [&](u64 from, u64 to) {
-        WordLease scratch(PolyWorkspace::local(),
-                          static_cast<u64>(nk) + ell);
-        std::span<u64> res(scratch.data(), static_cast<size_t>(nk));
-        std::span<u64> dig(scratch.data() + nk,
-                           static_cast<size_t>(ell));
-        for (u64 i = from; i < to; ++i) {
-            poly_coeff.coeffResidues(i, res);
-            u128 x = ring.base.fromRns(res); // iCRT (Eq. 3)
-            gadget.decompose(x, dig);        // bit extraction
-            // Digits are < z < every q_i, so the residue is the same
-            // in every plane: write only plane 0 here (ell unit-stride
-            // streams) and replicate whole planes below, instead of
-            // the old ell x k scattered stores per coefficient.
-            for (int k = 0; k < ell; ++k)
-                digits[k].set(0, i, dig[k]);
-        }
+        kern.decomposeDigits(plan, src, ring.n, from, to, dst);
     });
-    // Replicate plane 0 across the other planes, then transform every
-    // (digit, plane) pair independently: the two phases must not fuse,
-    // or a task could read plane 0 while the (digit, 0) task transforms
-    // it. The per-plane transforms replace digits[k].toNtt(ring); the
+    // Then every (digit, plane) pair transforms independently. The
+    // per-plane transforms replace digits[k].toNtt(ring); the
     // coordinating thread retags once all planes are NTT form.
-    if (nk > 1) {
-        parallelFor(0, static_cast<u64>(ell) * (nk - 1), [&](u64 t) {
-            int k = static_cast<int>(t / (nk - 1));
-            int p = 1 + static_cast<int>(t % (nk - 1));
-            std::span<const u64> p0 =
-                std::as_const(digits[k]).residues(0);
-            std::copy(p0.begin(), p0.end(),
-                      digits[k].residues(p).begin());
-        });
-    }
     parallelFor(0, static_cast<u64>(ell) * nk, [&](u64 t) {
         int k = static_cast<int>(t / nk);
         int p = static_cast<int>(t % nk);
@@ -170,7 +145,6 @@ externalProductInto(const HeContext &ctx, const RgswCiphertext &rgsw,
 
     const u64 n = ring.n;
     const int nk = ring.k();
-    const u64 words = ring.words();
 
     PolyLease a_coeff(ws, ring, Domain::Coeff);
     PolyLease b_coeff(ws, ring, Domain::Coeff);
@@ -195,28 +169,23 @@ externalProductInto(const HeContext &ctx, const RgswCiphertext &rgsw,
     // coefficient chunks and (digit, plane) transforms).
     PolyVecLease da(ws, ring, Domain::Coeff, ell);
     PolyVecLease db(ws, ring, Domain::Coeff, ell);
-    decomposePolyInto(ctx, gadget, *a_coeff, *da, ws);
-    decomposePolyInto(ctx, gadget, *b_coeff, *db, ws);
+    decomposePolyInto(ctx, gadget, *a_coeff, *da);
+    decomposePolyInto(ctx, gadget, *b_coeff, *db);
 
     // Phase 3: the 2x2l matrix-vector product — per-plane tasks, each
     // running both sides' MAC chains for its plane in the exact serial
     // per-plane link order (k ascending; da into a and b, then db into
-    // a and b), with the fused/strict dispatch centralized in
-    // kernels::chainMac*. One task per plane (not per side) keeps each
-    // digit plane cache-hot across its two uses, matching the serial
-    // code's memory traffic; outputs are byte-identical at any thread
-    // count because the per-accumulator order never changes.
-    AccLease acc(ws, 2 * words);
-    u128 *acc_base = acc.data();
+    // a and b), accumulating in the output planes themselves, with the
+    // fused/strict dispatch centralized in kernels::chainMac*. One task
+    // per plane (not per side) keeps each digit plane cache-hot across
+    // its two uses; outputs are byte-identical at any thread count
+    // because the per-plane order never changes.
+    const u64 links = 2 * static_cast<u64>(ell);
     parallelFor(0, static_cast<u64>(nk), [&](u64 t) {
         int p = static_cast<int>(t);
         const Modulus &mod = ring.base.modulus(p);
         u64 *oa = out.a.residues(p).data();
         u64 *ob = out.b.residues(p).data();
-        u128 *aa = acc_base + static_cast<u64>(p) * n;
-        u128 *ab = acc_base + words + static_cast<u64>(p) * n;
-        kernels::chainMacBegin(mod, n, oa);
-        kernels::chainMacBegin(mod, n, ob);
         for (int k = 0; k < ell; ++k) {
             const u64 *pa =
                 da[static_cast<size_t>(k)].residues(p).data();
@@ -226,17 +195,17 @@ externalProductInto(const HeContext &ctx, const RgswCiphertext &rgsw,
                 rgsw.rows[static_cast<size_t>(k)];
             const BfvCiphertext &row_b =
                 rgsw.rows[static_cast<size_t>(ell + k)];
-            kernels::chainMacAcc(mod, n, aa, oa, pa,
-                                 row_a.a.residues(p).data());
-            kernels::chainMacAcc(mod, n, ab, ob, pa,
-                                 row_a.b.residues(p).data());
-            kernels::chainMacAcc(mod, n, aa, oa, pb,
-                                 row_b.a.residues(p).data());
-            kernels::chainMacAcc(mod, n, ab, ob, pb,
-                                 row_b.b.residues(p).data());
+            kernels::chainMacAcc(mod, links, n, oa, pa,
+                                 row_a.a.residues(p).data(), k == 0);
+            kernels::chainMacAcc(mod, links, n, ob, pa,
+                                 row_a.b.residues(p).data(), k == 0);
+            kernels::chainMacAcc(mod, links, n, oa, pb,
+                                 row_b.a.residues(p).data(), false);
+            kernels::chainMacAcc(mod, links, n, ob, pb,
+                                 row_b.b.residues(p).data(), false);
         }
-        kernels::chainMacFinish(mod, n, aa, oa, false);
-        kernels::chainMacFinish(mod, n, ab, ob, false);
+        kernels::chainMacFinish(mod, links, n, oa);
+        kernels::chainMacFinish(mod, links, n, ob);
     });
 }
 

@@ -45,11 +45,11 @@ std::vector<RnsPoly> decomposePoly(const HeContext &ctx,
 /**
  * Allocation-free decomposition: writes the ell digits into `digits`
  * (workspace-leased polys of the ring's shape; fully overwritten and
- * left in NTT domain). Scratch comes from `ws`.
+ * left in NTT domain). Needs no scratch.
  */
 void decomposePolyInto(const HeContext &ctx, const Gadget &gadget,
                        const RnsPoly &poly_coeff,
-                       std::span<RnsPoly> digits, PolyWorkspace &ws);
+                       std::span<RnsPoly> digits);
 
 /** RGSW encryption of the constant m (0 or 1 for ColTor select bits). */
 RgswCiphertext encryptRgswConst(const HeContext &ctx, const SecretKey &sk,

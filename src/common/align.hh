@@ -69,9 +69,8 @@ struct AlignedAllocator
     }
 };
 
-/** 64-byte-aligned vectors: residue planes, scratch, MAC accumulators. */
+/** 64-byte-aligned vectors: residue planes and scratch. */
 using AlignedU64Vec = std::vector<u64, AlignedAllocator<u64>>;
-using AlignedU128Vec = std::vector<u128, AlignedAllocator<u128>>;
 
 /** True when p sits on a cache-line boundary (lease-type asserts). */
 inline bool

@@ -106,14 +106,6 @@ class Modulus
      */
     u64 barrettHi() const { return mHi_; }
 
-    /** 2^64 mod q, for folding u128 accumulator high words. */
-    u64
-    pow2_64ModQ() const
-    {
-        // 2^64 = floor(2^64/q)*q + (2^64 mod q).
-        return 0 - mHi_ * q_;
-    }
-
     /** a^e mod q by square-and-multiply. */
     u64 pow(u64 a, u64 e) const;
 

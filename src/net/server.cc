@@ -103,6 +103,21 @@ classifyError(const std::exception_ptr &err)
     }
 }
 
+/**
+ * The registration lane's policy: no waiting window (a registration is
+ * one client's setup, nothing batches with it), and the query lane's
+ * admission bounds.
+ */
+SchedulerConfig
+registrationLane(const SchedulerConfig &queries)
+{
+    SchedulerConfig lane;
+    lane.windowSec = 0.0;
+    lane.maxQueue = queries.maxQueue;
+    lane.queryDeadlineSec = queries.queryDeadlineSec;
+    return lane;
+}
+
 void
 setNonBlocking(int fd)
 {
@@ -116,7 +131,8 @@ setNonBlocking(int fd)
 PirTcpServer::PirTcpServer(const HeContext &ctx, const PirParams &params,
                            const Database *db, NetServerConfig cfg)
     : cfg_(std::move(cfg)), registry_(ctx, params, db, cfg_.registry),
-      dispatcher_(cfg_.scheduler)
+      dispatcher_(cfg_.scheduler),
+      registrations_(registrationLane(cfg_.scheduler))
 {
     ive_assert(cfg_.maxConnections >= 1);
     ive_assert(cfg_.maxInFlightPerConnection >= 1);
@@ -186,6 +202,7 @@ PirTcpServer::stop()
     std::call_once(stopOnce_, [this] {
         draining_.store(true);      // Reject new work immediately.
         dispatcher_.shutdown();     // Flush in-flight; completions post.
+        registrations_.shutdown();
         stopping_.store(true);
         kick();
         loop_.join();
@@ -209,9 +226,11 @@ PirTcpServer::drain()
         return;
     draining_.store(true);
     kick();
-    // Every accepted query dispatches and posts its completion before
-    // drain() returns; what remains is flushing write queues to peers.
+    // Every accepted query and registration dispatches and posts its
+    // completion before drain() returns; what remains is flushing write
+    // queues to peers.
     dispatcher_.drain();
+    registrations_.drain();
     kick();
     using Clock = std::chrono::steady_clock;
     auto deadline =
@@ -576,9 +595,12 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
             return true;
         }
         // Heavy: nested-blob parse, key decoding and engine
-        // construction all run on the dispatch thread, not here.
+        // construction run on the registration lane's thread, not here
+        // and not behind the query window. All of it is serial (no
+        // parallelFor), so it never takes the pool's one batch slot,
+        // which would make a concurrent query's parallelFor run inline.
         ++c.inFlight;
-        dispatcher_.submit(
+        registrations_.submit(
             std::move(payload),
             [this](const std::vector<u8> &blob) -> std::vector<u8> {
                 PirRegisterKeys reg = deserializeRegisterKeys(blob);

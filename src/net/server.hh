@@ -3,10 +3,12 @@
  * Epoll TCP front-end: framed wire blobs over sockets, defensively.
  *
  * One event-loop thread owns every connection (no per-connection
- * threads, no locks on the hot connection state); heavy work — key
- * registration and query evaluation — runs on the waiting-window
- * dispatcher (shard/dispatcher.hh) via per-query work thunks bound to
- * the client's registered engine, and results come back through a
+ * threads, no locks on the hot connection state); heavy work runs on
+ * two dispatchers (shard/dispatcher.hh): query evaluation on the
+ * waiting-window query lane via per-query work thunks bound to the
+ * client's registered engine, key registration on its own lane with
+ * no window, so a registration neither waits for a query window nor
+ * holds up the queries queued behind it. Results come back through a
  * completion outbox + eventfd wakeup. Responses are delivered in
  * request order per connection (a sequence number per accepted frame;
  * out-of-order completions are held until their predecessors flush).
@@ -86,7 +88,9 @@ struct NetServerConfig
     RegistryConfig registry;
     /** Waiting-window/admission knobs for the query dispatcher. The
      *  SchedulerConfig default window (32 ms) favors batching; set
-     *  windowSec = 0 for latency-first serving. */
+     *  windowSec = 0 for latency-first serving. The window applies to
+     *  queries only: registrations run on their own lane with no
+     *  window, under the same maxQueue and queryDeadlineSec. */
     SchedulerConfig scheduler;
 };
 
@@ -135,7 +139,7 @@ class PirTcpServer
      */
     void drain();
 
-    /** Hard stop: shuts the dispatcher down, joins the loop, closes
+    /** Hard stop: shuts both dispatchers down, joins the loop, closes
      *  every fd. Idempotent; the destructor calls it. */
     void stop();
 
@@ -202,7 +206,8 @@ class PirTcpServer
 
     NetServerConfig cfg_;
     SessionRegistry registry_;
-    ShardDispatcher dispatcher_;
+    ShardDispatcher dispatcher_;     ///< Queries: the waiting window.
+    ShardDispatcher registrations_;  ///< RegisterKeys: no window.
 
     int listenFd_ = -1;
     int epollFd_ = -1;

@@ -1,6 +1,7 @@
 #include "pir/server.hh"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "common/bitops.hh"
@@ -316,16 +317,18 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
     const u64 first = shard_ * cols * d0;
 
     // Each column's D0-long plainMulAcc chain runs as segs contiguous
-    // row segments, each accumulating raw u128 products (fused primes)
-    // or canonical sums (strict primes), and one merge per column pays
-    // the chain's deferred reduction. Columns run in passes of width
-    // columns under the wide rule. When whole columns fill the lanes,
-    // segs and width are 1 and the passes spread over the pool. When
-    // they cannot (shard slices, small d), one pass holds every column
-    // and splits it into enough segments that the pass's cols * segs
-    // tasks (about 2 * lanes) fill the pool. u128 accumulation is exact
-    // and modular addition is associative, so the result is identical
-    // at any segs and any thread count.
+    // row segments. Segment 0 accumulates in the column's output polys,
+    // later segments in leased scratch; every segment ends as a
+    // canonical plane (kernels::chainMac*: fused or strict by prime and
+    // segment length), and a column merges its segments with modular
+    // adds in ascending order. Columns run in passes of width columns
+    // under the wide rule. When whole columns fill the lanes, segs and
+    // width are 1, the passes spread over the pool, and the chain's one
+    // reduction is the whole merge. When they cannot (shard slices,
+    // small d), one pass holds every column and splits it into enough
+    // segments that the pass's cols * segs tasks (about 2 * lanes) fill
+    // the pool. Modular addition is associative, so the result is
+    // identical at any segs and any thread count.
     const u64 lanes = static_cast<u64>(ThreadPool::global().size());
     const bool narrow = runsSerially(cols);
     const u64 segs = narrow ? std::min(d0, divCeil(2 * lanes, cols)) : 1;
@@ -333,78 +336,72 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
 
     std::vector<BfvCiphertext> out(cols);
     wideFor(cols / width, [&](u64 pass) {
-        // Task t (column t / segs of the pass, segment t % segs) owns
-        // 2*words u128 sums and 2*words strict words, a side then b,
-        // leased from the thread that runs the pass: one column's worth
-        // per pool worker, or width * segs < 3 * lanes segments' worth
-        // for the narrow pass.
-        PolyWorkspace &ws = PolyWorkspace::local();
-        AccLease mac(ws, width * segs * 2 * words);
-        WordLease strict(ws, width * segs * 2 * words);
+        // Segments 1..segs-1 of each column own 2*words words, a side
+        // then b, leased from the thread that runs the pass.
+        std::optional<WordLease> part;
+        if (segs > 1)
+            part.emplace(PolyWorkspace::local(),
+                         width * (segs - 1) * 2 * words);
+        auto partial = [&](u64 j, u64 s) {
+            return part->data() + (j * (segs - 1) + s - 1) * 2 * words;
+        };
         parallelFor(0, width * segs, [&](u64 t) {
-            const u64 r = pass * width + t / segs;
+            const u64 j = t / segs;
             const u64 s = t % segs;
-            u128 *acc_a = mac.data() + t * 2 * words;
-            u128 *acc_b = acc_a + words;
-            u64 *dst_a = strict.data() + t * 2 * words;
-            u64 *dst_b = dst_a + words;
-            for (int p = 0; p < nk; ++p) {
-                const Modulus &mod = ring.base.modulus(p);
-                kernels::chainMacBegin(mod, n,
-                                       dst_a + static_cast<u64>(p) * n);
-                kernels::chainMacBegin(mod, n,
-                                       dst_b + static_cast<u64>(p) * n);
+            BfvCiphertext &col = out[pass * width + j];
+            u64 *acc_a;
+            u64 *acc_b;
+            if (s == 0) {
+                col.a = RnsPoly(ring, Domain::Ntt);
+                col.b = RnsPoly(ring, Domain::Ntt);
+                acc_a = col.a.residues(0).data();
+                acc_b = col.b.residues(0).data();
+            } else {
+                acc_a = partial(j, s);
+                acc_b = acc_a + words;
             }
             // Boundaries depend only on (d0, segs); segs <= d0 keeps
             // every segment non-empty.
-            for (u64 i = s * d0 / segs; i < (s + 1) * d0 / segs; ++i) {
-                const RnsPoly &entry =
-                    db_->entry(first + r * d0 + i, plane);
+            const u64 lo = s * d0 / segs;
+            const u64 hi = (s + 1) * d0 / segs;
+            const u64 row0 = first + (pass * width + j) * d0;
+            for (u64 i = lo; i < hi; ++i) {
+                const RnsPoly &entry = db_->entry(row0 + i, plane);
                 const BfvCiphertext &leaf = leaves[i];
                 for (int p = 0; p < nk; ++p) {
                     const Modulus &mod = ring.base.modulus(p);
+                    const u64 off = static_cast<u64>(p) * n;
                     const u64 *pe = entry.residues(p).data();
-                    kernels::chainMacAcc(mod, n,
-                                         acc_a + static_cast<u64>(p) * n,
-                                         dst_a + static_cast<u64>(p) * n,
-                                         pe, leaf.a.residues(p).data());
-                    kernels::chainMacAcc(mod, n,
-                                         acc_b + static_cast<u64>(p) * n,
-                                         dst_b + static_cast<u64>(p) * n,
-                                         pe, leaf.b.residues(p).data());
+                    kernels::chainMacAcc(mod, hi - lo, n, acc_a + off, pe,
+                                         leaf.a.residues(p).data(),
+                                         i == lo);
+                    kernels::chainMacAcc(mod, hi - lo, n, acc_b + off, pe,
+                                         leaf.b.residues(p).data(),
+                                         i == lo);
                 }
             }
-        });
-
-        // Merge each column's segments in ascending order per (side,
-        // prime) plane; mergeMacPartial audits the per-partial headroom
-        // contract in checked builds. One task per (column, side)
-        // output polynomial, so the narrow pass's width * 2 outputs
-        // spread over the pool; a one-column pass runs inline.
-        parallelFor(0, width * 2, [&](u64 j) {
-            BfvCiphertext &acc = out[pass * width + j / 2];
-            RnsPoly &poly = j % 2 == 0 ? acc.a : acc.b;
-            poly = RnsPoly(ring, Domain::Ntt);
             for (int p = 0; p < nk; ++p) {
                 const Modulus &mod = ring.base.modulus(p);
-                const u64 off = j / 2 * segs * 2 * words +
-                                j % 2 * words + static_cast<u64>(p) * n;
-                u64 *dst = poly.residues(p).data();
-                if (kernels::fusedMacOk(mod)) {
-                    u128 *total = mac.data() + off;
-                    kernels::auditMacPartial(total, n);
-                    for (u64 s = 1; s < segs; ++s)
-                        kernels::mergeMacPartial(
-                            total, mac.data() + s * 2 * words + off, n);
-                    kernels::macReduce(dst, total, n, mod);
-                } else {
-                    const u64 *part0 = strict.data() + off;
-                    std::copy(part0, part0 + n, dst);
-                    for (u64 s = 1; s < segs; ++s)
-                        kernels::addVec(
-                            dst, strict.data() + s * 2 * words + off, n,
-                            mod.value());
-                }
+                const u64 off = static_cast<u64>(p) * n;
+                kernels::chainMacFinish(mod, hi - lo, n, acc_a + off);
+                kernels::chainMacFinish(mod, hi - lo, n, acc_b + off);
+            }
+        });
+        if (segs == 1)
+            return;
+
+        // One task per (column, side) output polynomial, so the narrow
+        // pass's width * 2 outputs spread over the pool.
+        parallelFor(0, width * 2, [&](u64 t) {
+            const u64 j = t / 2;
+            BfvCiphertext &col = out[pass * width + j];
+            RnsPoly &poly = t % 2 == 0 ? col.a : col.b;
+            for (u64 s = 1; s < segs; ++s) {
+                const u64 *src = partial(j, s) + t % 2 * words;
+                for (int p = 0; p < nk; ++p)
+                    kernels::addVec(poly.residues(p).data(),
+                                    src + static_cast<u64>(p) * n, n,
+                                    ring.base.modulus(p).value());
             }
         });
     });

@@ -19,13 +19,13 @@
  *    Dispatched via NttTable::forward/inverse, not this header.
  *
  *  - Fused dyadic multiply-accumulate: when q < 2^32 each product of
- *    canonical residues fits in 64 bits, so a u128 accumulator absorbs
- *    up to 2^32 terms without overflow (the vector backends fold the
- *    accumulator high word with a 2^64 mod q multiply, which caps the
- *    chain length — far above the D0-long RowSel chains and 2l-row
- *    external-product sums) and Barrett reduction is paid once per
- *    output word per *chain*. Larger test primes fall back to the
- *    strict per-product kernels.
+ *    canonical residues fits in 64 bits, and a chain of L products
+ *    plus one canonical addend fits a u64 accumulator while
+ *    (q - 1)^2 * L + q < 2^64 (about 960 links for the 28-bit paper
+ *    primes, against D0-long RowSel segments, l-long key-switch sums
+ *    and 2l-long external-product sums). Barrett reduction is then
+ *    paid once per output word per *chain*. Longer chains and larger
+ *    test primes fall back to the strict per-product kernels.
  *
  * The strict NTT reference transforms are kept inline here for
  * differential tests and before/after microbenchmarks; they are not
@@ -43,6 +43,7 @@
 #include "common/contracts.hh"
 #include "common/types.hh"
 #include "modmath/modulus.hh"
+#include "modmath/primes.hh"
 #include "poly/simd/simd.hh"
 
 namespace ive::kernels {
@@ -197,130 +198,74 @@ applyCoeffMapVec(u64 *dst, const u64 *src, const u64 *map, u64 n, u64 q)
 // --- fused lazy multiply-accumulate ----------------------------------
 
 /**
- * True when canonical products fit 64 bits, so a u128 accumulator can
- * absorb any chain this codebase produces with a single deferred
- * Barrett reduction per output word.
+ * Longest fused chain over q: the largest L with
+ * (q - 1)^2 * L + q < 2^64, so L raw products of canonical residues
+ * plus one canonical addend fit a u64 accumulator. 0 when q >= 2^32,
+ * where a single product can exceed 64 bits.
+ */
+constexpr u64
+fusedMacMaxChain(u64 q)
+{
+    if (q >= simd::kFusedMacModulusBound)
+        return 0;
+    const u64 sq = (q - 1) * (q - 1);
+    return (~u64{0} - q) / sq;
+}
+
+// Every shipped chain fits the paper primes (largest last): D0 <= 256
+// RowSel links, l = 9 key-switch links, 2l = 16 external-product links.
+static_assert(fusedMacMaxChain(kIvePrimes.back()) >= 256,
+              "the paper primes must fuse a 256-long RowSel column");
+
+/**
+ * True when a chain of `links` products over mod accumulates in u64
+ * with one deferred Barrett reduction; otherwise the chain runs strict.
  */
 inline bool
-fusedMacOk(const Modulus &mod)
+fusedMacOk(const Modulus &mod, u64 links)
 {
-    return mod.value() < simd::kFusedMacModulusBound;
-}
-
-/**
- * acc[i] += a[i] * b[i] as raw u128 sums (no reduction). Inputs must
- * be < 2^32 (the fused-MAC policy only engages below 32-bit moduli);
- * the vector backends compute single-instruction 32x32 products.
- */
-inline void
-macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
-{
-    simd::active().macAccumulate(acc, a, b, n);
-}
-
-/** dst[i] = acc[i] mod q: the single deferred reduction of a chain. */
-inline void
-macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    simd::active().macReduce(dst, acc, n, mod);
-}
-
-/** dst[i] = dst[i] + (acc[i] mod q) mod q. */
-inline void
-macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    simd::active().macReduceAdd(dst, acc, n, mod);
-}
-
-/**
- * Checked-build audit of the per-partial fused-MAC bound: a raw u128
- * partial accumulator about to be merged must still satisfy
- * acc >> 64 < 2^32 — the same headroom macReduce requires of a whole
- * chain — or the merged sum could wrap past 128 bits and silently
- * produce a wrong (often still-decryptable) result. Compiles to
- * nothing unless -DIVE_CHECK_RANGES=ON.
- */
-inline void
-auditMacPartial(const u128 *acc, u64 n)
-{
-#if IVE_RANGE_CHECKS_ENABLED
-    for (u64 i = 0; i < n; ++i)
-        ive_contract((acc[i] >> 64) < simd::kFusedMacModulusBound,
-                     "fused-MAC partial accumulator: acc >> 64 < 2^32 "
-                     "must hold per partial before the merge");
-#else
-    (void)acc;
-    (void)n;
-#endif
-}
-
-/**
- * dst[i] += src[i] as raw u128 sums: merges one per-thread partial
- * accumulator of a split MAC chain into the running total. Integer
- * addition is exact and associative, so merging S partials in any
- * fixed order equals the unsplit chain bit-for-bit; the single
- * deferred Barrett reduction (macReduce) still happens once, on the
- * merged total. Audits the per-partial range contract in checked
- * builds.
- */
-inline void
-mergeMacPartial(u128 *dst, const u128 *src, u64 n)
-{
-    auditMacPartial(src, n);
-    for (u64 i = 0; i < n; ++i)
-        dst[i] += src[i];
+    return links <= fusedMacMaxChain(mod.value());
 }
 
 // --- per-plane MAC-chain dispatch ------------------------------------
 //
-// The chain sites (RowSel columns, the external product's 2l-row sums,
-// Subs' key-switch sums) share one policy: fused primes accumulate raw
-// u128 products and reduce once at the end, strict primes
-// multiply-accumulate canonically into the destination plane as they
-// go. Keeping the dispatch here means a policy change (say, a
-// different fused bound) edits exactly one place.
+// The chain sites (RowSel segments, the external product's 2l-row
+// sums, Subs' key-switch sums) share one policy, decided here from
+// (modulus, chain length): a fused chain accumulates raw u64 products
+// in its destination plane and reduces once at the end; a strict chain
+// multiply-accumulates canonically into the same plane as it goes.
+// Either way the destination ends canonical, equal to (addend + sum of
+// products) mod q, so the two paths are interchangeable bit for bit.
+// Keeping the dispatch here means a policy change edits one place.
 
 /**
- * Prepares a destination plane for a chain: strict primes accumulate
- * into dst, so it must start zeroed (fused primes ignore dst until
- * chainMacFinish). Skip for a plane that already holds the chain's
- * addend — e.g. Subs' b-side, where dst holds the rotated polynomial.
+ * One chain link over a plane of n words: dst (+)= a o b. `store` on
+ * the first link of a chain without an addend overwrites dst, so
+ * destinations need no zero fill; otherwise dst holds the running sum
+ * (or, before the first link, a canonical addend such as Subs'
+ * sigma_r(b)). `links` is the chain's full length.
  */
 inline void
-chainMacBegin(const Modulus &mod, u64 n, u64 *dst)
+chainMacAcc(const Modulus &mod, u64 links, u64 n, u64 *dst,
+            const u64 *a, const u64 *b, bool store)
 {
-    if (!fusedMacOk(mod)) {
+    if (fusedMacOk(mod, links)) {
+        simd::active().macChainLink(dst, a, b, n, store);
+        return;
+    }
+    if (store) {
         for (u64 i = 0; i < n; ++i)
             dst[i] = 0;
     }
+    mulAccVec(dst, a, b, n, mod);
 }
 
-/** One chain link: acc (fused) or dst (strict) += a o b. */
+/** Ends a chain: a fused chain pays its one reduction, in place. */
 inline void
-chainMacAcc(const Modulus &mod, u64 n, u128 *acc, u64 *dst,
-            const u64 *a, const u64 *b)
+chainMacFinish(const Modulus &mod, u64 links, u64 n, u64 *dst)
 {
-    if (fusedMacOk(mod))
-        macAccumulate(acc, a, b, n);
-    else
-        mulAccVec(dst, a, b, n, mod);
-}
-
-/**
- * Ends a chain: fused primes pay their single deferred reduction into
- * dst (`add` accumulates onto dst's existing value instead of
- * overwriting). Strict primes already finished inside chainMacAcc.
- */
-inline void
-chainMacFinish(const Modulus &mod, u64 n, const u128 *acc, u64 *dst,
-               bool add)
-{
-    if (!fusedMacOk(mod))
-        return;
-    if (add)
-        macReduceAdd(dst, acc, n, mod);
-    else
-        macReduce(dst, acc, n, mod);
+    if (fusedMacOk(mod, links))
+        simd::active().macChainReduce(dst, n, mod);
 }
 
 } // namespace ive::kernels

@@ -94,9 +94,12 @@ void mulShoupVec(u64 *dst, const u64 *b, const u64 *b_shoup, u64 n,
 void canonicalizeVec(u64 *a, u64 n, u64 q);
 void mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n,
                const Modulus &mod);
+void macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n,
+                  bool store);
+void macChainReduce(u64 *acc, u64 n, const Modulus &mod);
 void macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n);
-void macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod);
-void macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod);
+void decomposeDigits(const DigitPlan &plan, const u64 *src, u64 stride,
+                     u64 from, u64 to, u64 *const *dst);
 void applyCoeffMap(u64 *dst, const u64 *src, const u64 *map, u64 n,
                    u64 q);
 

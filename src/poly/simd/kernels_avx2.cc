@@ -13,9 +13,8 @@
  * x86-64.
  *
  * Contracts (shared with all backends, see simd.hh):
- *  - macAccumulate inputs are < 2^32 (the fused-MAC chain policy only
- *    runs below 32-bit moduli)
- *  - macReduce/macReduceAdd accumulators satisfy acc >> 64 < 2^32
+ *  - MAC inputs are < 2^32 (the fused-MAC chain policy only runs below
+ *    32-bit moduli), and u64 chains stay inside their length bound
  *  - everything produces outputs bit-identical to the scalar backend
  */
 
@@ -388,77 +387,42 @@ macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
         scalar::macAccumulate(acc + i, a + i, b + i, n - i);
 }
 
-/**
- * Canonical residues of 4 accumulators (interleaved u128 memory),
- * assuming q < 2^32 and acc >> 64 < 2^32.
- */
-inline __m256i
-macReduceBlock(const u64 *mem, __m256i qv, __m256i mh, __m256i r64)
+void
+macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n, bool store)
 {
-    __m256i acc01 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(mem));
-    __m256i acc23 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i *>(mem + 4));
-    // Deinterleave into lo = [lo0..lo3], hi = [hi0..hi3].
-    __m256i lo = _mm256_permute4x64_epi64(
-        _mm256_unpacklo_epi64(acc01, acc23), 0b11011000);
-    __m256i hi = _mm256_permute4x64_epi64(
-        _mm256_unpackhi_epi64(acc01, acc23), 0b11011000);
-    // acc mod q = (hi * (2^64 mod q) + lo) mod q, both halves reduced
-    // separately so nothing overflows 64 bits.
-    __m256i y = _mm256_mul_epu32(hi, r64); // hi < 2^32, R64 < 2^32
-    __m256i s = _mm256_add_epi64(reduce64(lo, mh, qv),
-                                 reduce64(y, mh, qv));
-    return csub(s, qv);
+    u64 i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        __m256i p = _mm256_mul_epu32(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i)),
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + i)));
+        if (!store)
+            p = _mm256_add_epi64(
+                p, _mm256_loadu_si256(
+                       reinterpret_cast<const __m256i *>(acc + i)));
+        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + i), p);
+    }
+    if (i < n)
+        scalar::macChainLink(acc + i, a + i, b + i, n - i, store);
 }
 
 void
-macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
+macChainReduce(u64 *acc, u64 n, const Modulus &mod)
 {
     const u64 q = mod.value();
     if (q >= kFusedMacModulusBound) {
-        scalar::macReduce(dst, acc, n, mod);
+        scalar::macChainReduce(acc, n, mod);
         return;
     }
-    const u64 *mem = reinterpret_cast<const u64 *>(acc);
     __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
     __m256i mh = _mm256_set1_epi64x(
         static_cast<long long>(mod.barrettHi()));
-    __m256i r64 = _mm256_set1_epi64x(
-        static_cast<long long>(mod.pow2_64ModQ()));
     u64 i = 0;
     for (; i + kLanes <= n; i += kLanes) {
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            macReduceBlock(mem + 2 * i, qv, mh, r64));
+        __m256i *p = reinterpret_cast<__m256i *>(acc + i);
+        _mm256_storeu_si256(p, reduce64(_mm256_loadu_si256(p), mh, qv));
     }
     if (i < n)
-        scalar::macReduce(dst + i, acc + i, n - i, mod);
-}
-
-void
-macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    if (q >= kFusedMacModulusBound) {
-        scalar::macReduceAdd(dst, acc, n, mod);
-        return;
-    }
-    const u64 *mem = reinterpret_cast<const u64 *>(acc);
-    __m256i qv = _mm256_set1_epi64x(static_cast<long long>(q));
-    __m256i mh = _mm256_set1_epi64x(
-        static_cast<long long>(mod.barrettHi()));
-    __m256i r64 = _mm256_set1_epi64x(
-        static_cast<long long>(mod.pow2_64ModQ()));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m256i r = macReduceBlock(mem + 2 * i, qv, mh, r64);
-        __m256i d = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i *>(dst + i));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(dst + i),
-                            csub(_mm256_add_epi64(d, r), qv));
-    }
-    if (i < n)
-        scalar::macReduceAdd(dst + i, acc + i, n - i, mod);
+        scalar::macChainReduce(acc + i, n - i, mod);
 }
 
 } // namespace
@@ -475,9 +439,11 @@ const Kernels kAvx2Kernels = {
     &mulShoupVec,
     &canonicalizeVec,
     &mulAccVec,
+    &macChainLink,
+    &macChainReduce,
     &macAccumulate,
-    &macReduce,
-    &macReduceAdd,
+    // The digit decomposer's vector path is AVX-512 only.
+    &scalar::decomposeDigits,
     // No scatter on AVX2: the permutation keeps the scalar loop.
     &scalar::applyCoeffMap,
 };

@@ -12,11 +12,12 @@
  * Compiled with -mavx512f -mavx512dq -mavx512vl in its own TU; only
  * reached behind the runtime cpuid check in simd.cc. Same contracts as
  * every backend (see simd.hh): outputs bit-identical to scalar,
- * macAccumulate inputs < 2^32, macReduce accumulator high words
- * < 2^32.
+ * MAC inputs < 2^32, u64 chains inside their length bound.
  */
 
 #include <immintrin.h>
+
+#include <algorithm>
 
 #include "poly/kernels.hh"
 #include "poly/simd/avx512_tail.hh"
@@ -358,69 +359,160 @@ macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
         scalar::macAccumulate(acc + i, a + i, b + i, n - i);
 }
 
-/** Canonical residues of 8 interleaved accumulators (q < 2^32). */
+void
+macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n, bool store)
+{
+    u64 i = 0;
+    if (store) {
+        for (; i + kLanes <= n; i += kLanes) {
+            __m512i p = _mm512_mul_epu32(_mm512_loadu_si512(a + i),
+                                         _mm512_loadu_si512(b + i));
+            _mm512_storeu_si512(acc + i, p);
+        }
+    } else {
+        for (; i + kLanes <= n; i += kLanes) {
+            __m512i p = _mm512_mul_epu32(_mm512_loadu_si512(a + i),
+                                         _mm512_loadu_si512(b + i));
+            _mm512_storeu_si512(
+                acc + i, _mm512_add_epi64(_mm512_loadu_si512(acc + i), p));
+        }
+    }
+    if (i < n)
+        scalar::macChainLink(acc + i, a + i, b + i, n - i, store);
+}
+
+void
+macChainReduce(u64 *acc, u64 n, const Modulus &mod)
+{
+    const u64 q = mod.value();
+    if (q >= kFusedMacModulusBound) {
+        scalar::macChainReduce(acc, n, mod);
+        return;
+    }
+    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+    __m512i mh =
+        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
+    u64 i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        _mm512_storeu_si512(
+            acc + i, reduce64(_mm512_loadu_si512(acc + i), mh, qv));
+    }
+    if (i < n)
+        scalar::macChainReduce(acc + i, n - i, mod);
+}
+
+/** a * w mod q in [0, 2q) for any a < 2^32 (w < q < 2^32, ws its
+ *  2^32 Shoup companion): three 32 x 32-bit products. */
 inline __m512i
-macReduceBlock(const u64 *mem, __m512i qv, __m512i mh, __m512i r64)
+mulShoup32(__m512i a, __m512i w, __m512i ws, __m512i q)
 {
-    __m512i acc0 = _mm512_loadu_si512(mem);
-    __m512i acc1 = _mm512_loadu_si512(mem + 8);
-    const __m512i idx_lo =
-        _mm512_setr_epi64(0, 2, 4, 6, 8, 10, 12, 14);
-    const __m512i idx_hi =
-        _mm512_setr_epi64(1, 3, 5, 7, 9, 11, 13, 15);
-    __m512i lo = _mm512_permutex2var_epi64(acc0, idx_lo, acc1);
-    __m512i hi = _mm512_permutex2var_epi64(acc0, idx_hi, acc1);
-    __m512i y = _mm512_mul_epu32(hi, r64); // hi < 2^32, R64 < 2^32
-    __m512i s = _mm512_add_epi64(reduce64(lo, mh, qv),
-                                 reduce64(y, mh, qv));
-    return csub(s, qv);
+    __m512i approx = _mm512_srli_epi64(_mm512_mul_epu32(a, ws), 32);
+    return _mm512_sub_epi64(_mm512_mul_epu32(a, w),
+                            _mm512_mul_epu32(approx, q));
 }
 
-void
-macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    if (q >= kFusedMacModulusBound) {
-        scalar::macReduce(dst, acc, n, mod);
-        return;
-    }
-    const u64 *mem = reinterpret_cast<const u64 *>(acc);
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i mh =
-        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
-    __m512i r64 =
-        _mm512_set1_epi64(static_cast<long long>(mod.pow2_64ModQ()));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        _mm512_storeu_si512(dst + i,
-                            macReduceBlock(mem + 2 * i, qv, mh, r64));
-    }
-    if (i < n)
-        scalar::macReduce(dst + i, acc + i, n - i, mod);
-}
+constexpr int kDigitMaxPlanes = 8;
 
+/**
+ * Garner mixed radix, then a radix-2^logZ Horner pass that yields the
+ * digits directly: every lane product is a 32 x 32-bit vpmuludq. The
+ * vector path needs the Garner tables (every prime below 2^32) and
+ * z <= every prime, so a digit is canonical in every plane; any other
+ * plan runs the scalar reference.
+ */
 void
-macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
+decomposeDigits(const DigitPlan &plan, const u64 *src, u64 stride,
+                u64 from, u64 to, u64 *const *dst)
 {
-    const u64 q = mod.value();
-    if (q >= kFusedMacModulusBound) {
-        scalar::macReduceAdd(dst, acc, n, mod);
+    const int k = plan.k;
+    const int ell = plan.ell;
+    const int logz = plan.logZ;
+    const u64 z = u64{1} << logz;
+    bool vec = plan.garner != nullptr && k <= kDigitMaxPlanes;
+    for (int p = 0; p < k && vec; ++p)
+        vec = z <= plan.moduli[p].value();
+    if (!vec) {
+        scalar::decomposeDigits(plan, src, stride, from, to, dst);
         return;
     }
-    const u64 *mem = reinterpret_cast<const u64 *>(acc);
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i mh =
-        _mm512_set1_epi64(static_cast<long long>(mod.barrettHi()));
-    __m512i r64 =
-        _mm512_set1_epi64(static_cast<long long>(mod.pow2_64ModQ()));
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i r = macReduceBlock(mem + 2 * i, qv, mh, r64);
-        __m512i d = _mm512_loadu_si512(dst + i);
-        _mm512_storeu_si512(dst + i, csub(_mm512_add_epi64(d, r), qv));
+    // Limbs after folding in primes p..k-1: the partial value is below
+    // 2^(bit widths of q_p..q_{k-1}), and never needs more than ell
+    // limbs because the whole x < Q <= z^ell.
+    int limbs_from[kDigitMaxPlanes];
+    int bits = 0;
+    for (int p = k - 1; p >= 0; --p) {
+        bits += 64 - __builtin_clzll(plan.moduli[p].value());
+        limbs_from[p] = std::min(ell, (bits + logz - 1) / logz);
     }
-    if (i < n)
-        scalar::macReduceAdd(dst + i, acc + i, n - i, mod);
+    const __m512i mask = _mm512_set1_epi64(static_cast<long long>(z - 1));
+    const __m128i shift = _mm_cvtsi32_si128(logz);
+    const __m512i zero = _mm512_setzero_si512();
+
+    u64 i = from;
+    for (; i + kLanes <= to; i += kLanes) {
+        __m512i v[kDigitMaxPlanes];
+        v[0] = _mm512_loadu_si512(src + i);
+        const u64 *c = plan.garner;
+        const u64 *cs = plan.garnerShoup32;
+        for (int p = 1; p < k; ++p) {
+            const u64 q = plan.moduli[p].value();
+            const __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
+            const __m512i two_qv = _mm512_add_epi64(qv, qv);
+            __m512i x = _mm512_loadu_si512(src + p * stride + i);
+            // Row p: c[0..p-1] weight v_0..v_{p-1}, c[p] weights x_p;
+            // every term is in [0, 2q) and the sum stays there.
+            __m512i s = mulShoup32(
+                x, _mm512_set1_epi64(static_cast<long long>(c[p])),
+                _mm512_set1_epi64(static_cast<long long>(cs[p])), qv);
+            for (int j = 0; j < p; ++j) {
+                __m512i t = mulShoup32(
+                    v[j], _mm512_set1_epi64(static_cast<long long>(c[j])),
+                    _mm512_set1_epi64(static_cast<long long>(cs[j])),
+                    qv);
+                s = csub(_mm512_add_epi64(s, t), two_qv);
+            }
+            v[p] = csub(s, qv);
+            c += p + 1;
+            cs += p + 1;
+        }
+
+        // Horner from the top: N = v_{k-1}, then N = N * q_p + v_p.
+        // limb < z <= 2^30 and q_p < 2^32, and the carry stays below
+        // 2 q_p, so each limb * q_p + carry fits 63 bits.
+        __m512i limb[kMaxDigits];
+        int m = 0;
+        {
+            __m512i carry = v[k - 1];
+            for (; m < limbs_from[k - 1]; ++m) {
+                limb[m] = _mm512_and_si512(carry, mask);
+                carry = _mm512_srl_epi64(carry, shift);
+            }
+        }
+        for (int p = k - 2; p >= 0; --p) {
+            const __m512i qv = _mm512_set1_epi64(
+                static_cast<long long>(plan.moduli[p].value()));
+            __m512i carry = v[p];
+            int j = 0;
+            for (; j < m; ++j) {
+                __m512i t = _mm512_add_epi64(
+                    _mm512_mul_epu32(limb[j], qv), carry);
+                limb[j] = _mm512_and_si512(t, mask);
+                carry = _mm512_srl_epi64(t, shift);
+            }
+            for (; j < limbs_from[p]; ++j) {
+                limb[j] = _mm512_and_si512(carry, mask);
+                carry = _mm512_srl_epi64(carry, shift);
+            }
+            m = limbs_from[p];
+        }
+        for (int j = 0; j < ell; ++j) {
+            const __m512i d = j < m ? limb[j] : zero;
+            for (int p = 0; p < k; ++p)
+                _mm512_storeu_si512(dst[j] + p * stride + i, d);
+        }
+    }
+    if (i < to)
+        scalar::decomposeDigits(plan, src, stride, i, to, dst);
 }
 
 void
@@ -462,9 +554,10 @@ const Kernels kAvx512Kernels = {
     &mulShoupVec,
     &canonicalizeVec,
     &mulAccVec,
+    &macChainLink,
+    &macChainReduce,
     &macAccumulate,
-    &macReduce,
-    &macReduceAdd,
+    &decomposeDigits,
     &applyCoeffMap,
 };
 

@@ -39,19 +39,6 @@ auditBelow(const u64 *a, u64 n, u128 bound, const char *contract)
 #endif
 }
 
-inline void
-auditAccHighWord(const u128 *acc, u64 n, const char *contract)
-{
-#if IVE_RANGE_CHECKS_ENABLED
-    for (u64 i = 0; i < n; ++i)
-        ive_contract((acc[i] >> 64) < kFusedMacModulusBound, contract);
-#else
-    (void)acc;
-    (void)n;
-    (void)contract;
-#endif
-}
-
 // Contract names are part of the tooling surface: test_contracts.cc
 // matches on them, and a checked-build failure report leads with them.
 constexpr const char *kFwdInputContract =
@@ -72,8 +59,10 @@ constexpr const char *kVecOperandContract =
     "vector-op operand canonicity (value < q)";
 constexpr const char *kMacOperandContract =
     "fused-MAC operand below the 2^32 fused bound";
-constexpr const char *kMacHighWordContract =
-    "MAC accumulator high word below 2^32 (deferred Barrett)";
+constexpr const char *kMacOverflowContract =
+    "u64 MAC accumulator below 2^64 (chain within its length bound)";
+constexpr const char *kDigitInputContract =
+    "digit-decomposer residue canonicity (x_i < q_i)";
 constexpr const char *kCoeffMapContract =
     "automorphism map position below n";
 
@@ -210,35 +199,72 @@ mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n, const Modulus &mod)
 }
 
 void
+macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n, bool store)
+{
+    auditBelow(a, n, kFusedMacModulusBound, kMacOperandContract);
+    auditBelow(b, n, kFusedMacModulusBound, kMacOperandContract);
+    if (store) {
+        for (u64 i = 0; i < n; ++i)
+            acc[i] = a[i] * b[i];
+        return;
+    }
+    for (u64 i = 0; i < n; ++i) {
+        u64 p = a[i] * b[i];
+        // A chain past (q - 1)^2 * links + q < 2^64 wraps here, and
+        // the wrapped sum reduces to a wrong, often still decryptable,
+        // residue.
+        ive_contract(acc[i] <= ~u64{0} - p, kMacOverflowContract);
+        acc[i] += p;
+    }
+}
+
+void
+macChainReduce(u64 *acc, u64 n, const Modulus &mod)
+{
+    for (u64 i = 0; i < n; ++i)
+        acc[i] = mod.reduce(acc[i]);
+}
+
+void
 macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
 {
     auditBelow(a, n, kFusedMacModulusBound, kMacOperandContract);
     auditBelow(b, n, kFusedMacModulusBound, kMacOperandContract);
-    // The acc >> 64 < 2^32 bound is a *reduce-time* contract: raw
-    // accumulation may legally ride past it mid-chain (the carry-corner
-    // suites do, deliberately); macReduce/macReduceAdd audit it where
-    // the deferred Barrett actually depends on it.
     for (u64 i = 0; i < n; ++i)
         acc[i] += static_cast<u128>(a[i]) * b[i];
 }
 
 void
-macReduce(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
+decomposeDigits(const DigitPlan &plan, const u64 *src, u64 stride,
+                u64 from, u64 to, u64 *const *dst)
 {
-    auditAccHighWord(acc, n, kMacHighWordContract);
-    for (u64 i = 0; i < n; ++i)
-        dst[i] = mod.reduce(acc[i]);
-}
-
-void
-macReduceAdd(u64 *dst, const u128 *acc, u64 n, const Modulus &mod)
-{
-    const u64 q = mod.value();
-    auditAccHighWord(acc, n, kMacHighWordContract);
-    auditBelow(dst, n, q, kVecOperandContract);
-    for (u64 i = 0; i < n; ++i) {
-        u64 s = dst[i] + mod.reduce(acc[i]);
-        dst[i] = s >= q ? s - q : s;
+    const int k = plan.k;
+    const u64 mask = (u64{1} << plan.logZ) - 1;
+    for (int p = 0; p < k; ++p)
+        auditBelow(src + p * stride + from, to - from,
+                   plan.moduli[p].value(), kDigitInputContract);
+    for (u64 i = from; i < to; ++i) {
+        // iCRT (paper Eq. 3), as RnsBase::fromRns computes it.
+        u128 x = 0;
+        for (int p = 0; p < k; ++p) {
+            u64 t = plan.moduli[p].mulShoup(src[p * stride + i],
+                                            plan.qHatInv[p],
+                                            plan.qHatInvShoup[p]);
+            x += plan.qHat[p] * t;
+        }
+        while (x >= plan.bigQ)
+            x -= plan.bigQ;
+        // Bit extraction, as Gadget::decompose does it; a digit is the
+        // same integer in every plane, reduced only where z > q_p.
+        for (int j = 0; j < plan.ell; ++j) {
+            u64 d = static_cast<u64>(x) & mask;
+            x >>= plan.logZ;
+            for (int p = 0; p < k; ++p) {
+                u64 q = plan.moduli[p].value();
+                dst[j][p * stride + i] = d < q ? d : d % q;
+            }
+        }
+        ive_assert(x == 0, "z^ell must cover Q");
     }
 }
 
@@ -270,9 +296,10 @@ const Kernels kScalarKernels = {
     &scalar::mulShoupVec,
     &scalar::canonicalizeVec,
     &scalar::mulAccVec,
+    &scalar::macChainLink,
+    &scalar::macChainReduce,
     &scalar::macAccumulate,
-    &scalar::macReduce,
-    &scalar::macReduceAdd,
+    &scalar::decomposeDigits,
     &scalar::applyCoeffMap,
 };
 

@@ -59,19 +59,12 @@ const char *isaName(Isa isa);
 // common/contracts.hh).
 
 /**
- * Moduli below this engage the fused u128 MAC chain: canonical
- * products fit 64 bits and the vector reducers fold the accumulator
- * high word with one 2^64-mod-q multiply.
+ * Moduli below this engage the fused u64 MAC chain (when the chain is
+ * short enough, see kernels::fusedMacOk) and the vector 32-bit
+ * product paths: canonical products fit one 64-bit word, so every lane
+ * product is a single vpmuludq.
  */
 inline constexpr u64 kFusedMacModulusBound = u64{1} << 32;
-
-/**
- * Longest fused chain the deferred-Barrett reducers admit: the
- * accumulator high word must stay below 2^32. Actual chains (D0-long
- * RowSel columns, 2l-row key-switch sums) are orders of magnitude
- * shorter.
- */
-inline constexpr u64 kFusedMacMaxChain = u64{1} << 32;
 
 /**
  * IFMA 52-bit datapath bound: the lazy butterflies feed operands up to
@@ -79,24 +72,30 @@ inline constexpr u64 kFusedMacMaxChain = u64{1} << 32;
  */
 inline constexpr u64 kIfmaModulusBound = u64{1} << 50;
 
+/**
+ * Largest gadget base the digit decomposer's vector Horner pass
+ * admits: limb * q + carry with limb < 2^30 and q < 2^32 stays below
+ * 2^63 (Gadget enforces logZ <= 30).
+ */
+inline constexpr int kDigitMaxLogZ = 30;
+
+/** Most digits a gadget may have (Gadget enforces ell <= 64). */
+inline constexpr int kMaxDigits = 64;
+
 // Fused products of canonical residues must fit one 64-bit word.
 static_assert(static_cast<u128>(kFusedMacModulusBound - 1) *
                       (kFusedMacModulusBound - 1) <=
                   ~u64{0},
               "fused-MAC products must fit 64 bits");
-// A maximal chain keeps the accumulator high word below 2^32, the
-// precondition of the vector macReduce kernels.
-static_assert((static_cast<u128>(kFusedMacMaxChain) *
-               (static_cast<u128>(kFusedMacModulusBound - 1) *
-                (kFusedMacModulusBound - 1))) >>
-                      64 <
-                  (u64{1} << 32),
-              "a maximal fused chain must keep acc >> 64 below 2^32");
 // The 52-bit lazy Shoup proof needs its 4q operands inside the
 // vpmadd52 datapath.
 static_assert(static_cast<u128>(4) * (kIfmaModulusBound - 1) <
                   (u128{1} << 52),
               "IFMA butterflies need 4q inside the 52-bit datapath");
+// One Horner step: limb < z, q < 2^32, carry < 2q, so
+// limb * q + carry < (z + 2) * 2^32 must stay below 2^63.
+static_assert((((u128{1} << kDigitMaxLogZ) + 2) << 32) < (u128{1} << 63),
+              "digit Horner steps must fit 63 bits");
 
 /**
  * Twiddle bundle a transform hands its backend: bit-reversed twiddles
@@ -109,6 +108,36 @@ struct NttTwiddles
     const u64 *tw = nullptr;
     const u64 *twShoup = nullptr;
     const u64 *twShoup52 = nullptr;
+};
+
+/**
+ * Everything the gadget digit decomposer needs about one RNS basis and
+ * one gadget. The tables belong to RnsBase (built once per basis);
+ * Gadget::digitPlan() hands out pointers to them, so a plan is valid
+ * as long as its basis.
+ *
+ * The scalar reference reconstructs x with the iCRT of paper Eq. 3
+ * (x = sum_i [x_i * qHatInv_i]_{q_i} * qHat_i, minus Q while >= Q) and
+ * extracts its base-2^logZ digits. The vector backends use the Garner
+ * mixed radix instead, x = v_0 + v_1 q_0 + v_2 q_0 q_1 + ..., in 64-bit
+ * lanes: row i >= 1 of `garner` holds i + 1 constants c_i0..c_ii with
+ * v_i = [x_i * c_ii + sum_{j<i} v_j * c_ij]_{q_i} (c_ii = (q_0 ...
+ * q_{i-1})^-1 and c_ij = -(q_0 ... q_{j-1}) * c_ii, mod q_i), and
+ * garnerShoup32 their floor(c * 2^32 / q_i) companions. Both are null
+ * unless every prime is below 2^32; such bases take the scalar path.
+ */
+struct DigitPlan
+{
+    int k = 0;                      ///< Residue planes (primes).
+    const Modulus *moduli = nullptr;
+    const u128 *qHat = nullptr;     ///< Q / q_i.
+    const u64 *qHatInv = nullptr;   ///< (Q / q_i)^-1 mod q_i.
+    const u64 *qHatInvShoup = nullptr;
+    u128 bigQ = 0;
+    const u64 *garner = nullptr;        ///< Rows 1..k-1, packed.
+    const u64 *garnerShoup32 = nullptr;
+    int logZ = 0;
+    int ell = 0;
 };
 
 /**
@@ -144,19 +173,36 @@ struct Kernels
     void (*mulAccVec)(u64 *dst, const u64 *a, const u64 *b, u64 n,
                       const Modulus &mod);
 
-    // Fused u128 MAC chain (see poly/kernels.hh for the chain policy).
-    /** acc[i] += a[i] * b[i] as raw u128 sums (no reduction). */
-    void (*macAccumulate)(u128 *acc, const u64 *a, const u64 *b, u64 n);
+    // Fused u64 MAC chain (see poly/kernels.hh for the chain policy).
     /**
-     * dst[i] = acc[i] mod q. Vector backends assume every chain this
-     * codebase produces: acc[i] >> 64 < 2^32 (at most 2^32 products of
-     * 64-bit values — RowSel columns are D0 long, key-switch sums 2l).
+     * acc[i] = a[i] * b[i] (store) or acc[i] += a[i] * b[i], raw u64
+     * sums with no reduction. Inputs are below 2^32 and the caller
+     * keeps the chain inside (q - 1)^2 * links + q < 2^64.
      */
-    void (*macReduce)(u64 *dst, const u128 *acc, u64 n,
-                      const Modulus &mod);
-    /** dst[i] = dst[i] + (acc[i] mod q) mod q, same contract. */
-    void (*macReduceAdd)(u64 *dst, const u128 *acc, u64 n,
-                         const Modulus &mod);
+    void (*macChainLink)(u64 *acc, const u64 *a, const u64 *b, u64 n,
+                         bool store);
+    /** acc[i] = acc[i] mod q for any u64 acc[i]: the chain's one
+     *  Barrett reduction. */
+    void (*macChainReduce)(u64 *acc, u64 n, const Modulus &mod);
+
+    /**
+     * acc[i] += a[i] * b[i] as raw u128 sums (inputs < 2^32). No
+     * serving path uses it; the benchmark's kernel.mac_gbs probe does,
+     * so its signature stays.
+     */
+    void (*macAccumulate)(u128 *acc, const u64 *a, const u64 *b, u64 n);
+
+    /**
+     * Gadget digit decomposition of coefficients [from, to) of one
+     * coefficient-domain polynomial: src holds plan.k canonical
+     * residue planes, `stride` words apart; digit j of coefficient i
+     * goes to slot i of every plane of dst[j] (plan.k planes, the same
+     * stride), reduced mod that plane's prime. Any alignment of from
+     * and to.
+     */
+    void (*decomposeDigits)(const DigitPlan &plan, const u64 *src,
+                            u64 stride, u64 from, u64 to,
+                            u64 *const *dst);
 
     /**
      * Prime-major automorphism / monomial permutation: for each i,

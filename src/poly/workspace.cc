@@ -110,33 +110,6 @@ PolyWorkspace::givePolyVec(std::vector<RnsPoly> &&polys)
     freeVecs_.push_back(std::move(polys));
 }
 
-AlignedU128Vec
-PolyWorkspace::takeAcc(u64 words)
-{
-    for (size_t i = freeAccs_.size(); i-- > 0;) {
-        if (freeAccs_[i].capacity() >= words) {
-            AlignedU128Vec buf = std::move(freeAccs_[i]);
-            freeAccs_.erase(freeAccs_.begin() +
-                            static_cast<ptrdiff_t>(i));
-            bump(g_buf_reuses);
-            buf.assign(words, 0); // Within capacity: no allocation.
-            return buf;
-        }
-    }
-    bump(g_buf_allocs);
-    AlignedU128Vec buf;
-    buf.assign(words, 0);
-    return buf;
-}
-
-void
-PolyWorkspace::giveAcc(AlignedU128Vec &&buf)
-{
-    if (buf.capacity() == 0)
-        return;
-    freeAccs_.push_back(std::move(buf));
-}
-
 AlignedU64Vec
 PolyWorkspace::takeWords(u64 count)
 {

@@ -4,11 +4,12 @@
  *
  * Every expand / RowSel / external-product / fold step used to build
  * its temporaries (digit polynomials, rotated copies, difference
- * ciphertexts, accumulators) as fresh heap allocations. PolyWorkspace
- * keeps per-thread free lists of RnsPoly objects, u128 MAC accumulators
- * and u64 scratch buffers, so a steady-state query performs zero
- * per-op heap allocations: the first query on each worker warms the
- * pool and later queries recycle it.
+ * ciphertexts, partial sums) as fresh heap allocations. PolyWorkspace
+ * keeps per-thread free lists of RnsPoly objects and u64 scratch
+ * buffers, so a steady-state query performs zero per-op heap
+ * allocations: the first query on each worker warms the pool and later
+ * queries recycle it. MAC chains accumulate in their destination
+ * planes (poly/kernels.hh), so there is no accumulator buffer to pool.
  *
  * The pool is thread_local (one per thread-pool worker plus the calling
  * thread), so leases never cross threads and need no locking. Leases
@@ -42,7 +43,7 @@ class PolyWorkspace
     {
         u64 polyAllocs = 0; ///< RnsPoly constructed (pool miss).
         u64 polyReuses = 0; ///< RnsPoly served from the free list.
-        u64 bufAllocs = 0;  ///< Accumulator/scratch buffer growth.
+        u64 bufAllocs = 0;  ///< Scratch buffer / container growth.
         u64 bufReuses = 0;  ///< Buffer served from the free list.
     };
     static Stats stats();
@@ -58,13 +59,6 @@ class PolyWorkspace
     std::vector<RnsPoly> takePolyVec(const Ring &ring, Domain domain,
                                      u64 count);
     void givePolyVec(std::vector<RnsPoly> &&polys);
-
-    /**
-     * Zero-filled u128 MAC accumulator of `words` elements, 64-byte
-     * aligned so the vector MAC kernels stream it at full width.
-     */
-    AlignedU128Vec takeAcc(u64 words);
-    void giveAcc(AlignedU128Vec &&buf);
 
     /** 64-byte-aligned u64 scratch of `count` elements (contents
      *  unspecified). */
@@ -101,7 +95,6 @@ class PolyWorkspace
 
     std::vector<Shelf> shelves_;
     std::vector<std::vector<RnsPoly>> freeVecs_;
-    std::vector<AlignedU128Vec> freeAccs_;
     std::vector<AlignedU64Vec> freeWords_;
 };
 
@@ -146,28 +139,6 @@ class PolyVecLease
   private:
     PolyWorkspace *ws_;
     std::vector<RnsPoly> polys_;
-};
-
-/** RAII lease of a zero-filled, cache-line-aligned u128 accumulator. */
-class AccLease
-{
-  public:
-    AccLease(PolyWorkspace &ws, u64 words)
-        : ws_(&ws), buf_(ws.takeAcc(words))
-    {
-        ive_assert(isCacheAligned(buf_.data()),
-                   "workspace accumulator lost cache-line alignment");
-    }
-    ~AccLease() { ws_->giveAcc(std::move(buf_)); }
-
-    AccLease(const AccLease &) = delete;
-    AccLease &operator=(const AccLease &) = delete;
-
-    u128 *data() { return buf_.data(); }
-
-  private:
-    PolyWorkspace *ws_;
-    AlignedU128Vec buf_;
 };
 
 /** RAII lease of cache-line-aligned u64 scratch. */

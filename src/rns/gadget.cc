@@ -8,8 +8,8 @@ Gadget::Gadget(const RnsBase *base, int log_z, int ell)
     : base_(base), logZ_(log_z), ell_(ell)
 {
     ive_assert(base != nullptr);
-    ive_assert(log_z >= 1 && log_z <= 30);
-    ive_assert(ell >= 1 && ell <= 64);
+    ive_assert(log_z >= 1 && log_z <= simd::kDigitMaxLogZ);
+    ive_assert(ell >= 1 && ell <= simd::kMaxDigits);
     // z^ell must cover Q so decomposition is exact.
     ive_assert(static_cast<double>(log_z) * ell >= base->logQ());
 

@@ -49,6 +49,13 @@ class Gadget
 
     const RnsBase *base() const { return base_; }
 
+    /** The digit decomposer's view of this gadget over its basis. */
+    simd::DigitPlan
+    digitPlan() const
+    {
+        return base_->digitPlan(logZ_, ell_);
+    }
+
   private:
     const RnsBase *base_;
     int logZ_;

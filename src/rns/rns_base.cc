@@ -37,6 +37,54 @@ RnsBase::RnsBase(const std::vector<u64> &primes)
         qHatInvShoup_.push_back(
             moduli_[i].shoupPrecompute(qHatInvModQi_.back()));
     }
+
+    // Garner constants for the vector digit decomposer: row i holds
+    // -(q_0 ... q_{j-1}) / (q_0 ... q_{i-1}) mod q_i for j < i, then
+    // 1 / (q_0 ... q_{i-1}) mod q_i. Their 2^32 Shoup companions keep
+    // every lane product inside one 32 x 32-bit multiply, so the
+    // tables exist only when every prime is below 2^32.
+    bool below32 = true;
+    for (const Modulus &m : moduli_)
+        below32 = below32 && m.value() < (u64{1} << 32);
+    if (!below32)
+        return;
+    for (int i = 1; i < size(); ++i) {
+        const Modulus &mi = moduli_[i];
+        u64 prefix = 1; // q_0 ... q_{j-1} mod q_i
+        std::vector<u64> prefixes;
+        for (int j = 0; j <= i; ++j) {
+            prefixes.push_back(prefix);
+            prefix = mi.mul(prefix, moduli_[j].value() % mi.value());
+        }
+        u64 inv = mi.inverse(prefixes[static_cast<size_t>(i)]);
+        for (int j = 0; j <= i; ++j) {
+            u64 c = j == i ? inv
+                           : mi.neg(mi.mul(prefixes[static_cast<size_t>(j)],
+                                           inv));
+            garner_.push_back(c);
+            garnerShoup32_.push_back(static_cast<u64>(
+                (static_cast<u128>(c) << 32) / mi.value()));
+        }
+    }
+}
+
+simd::DigitPlan
+RnsBase::digitPlan(int log_z, int ell) const
+{
+    simd::DigitPlan plan;
+    plan.k = size();
+    plan.moduli = moduli_.data();
+    plan.qHat = qHat_.data();
+    plan.qHatInv = qHatInvModQi_.data();
+    plan.qHatInvShoup = qHatInvShoup_.data();
+    plan.bigQ = q_;
+    if (!garner_.empty()) {
+        plan.garner = garner_.data();
+        plan.garnerShoup32 = garnerShoup32_.data();
+    }
+    plan.logZ = log_z;
+    plan.ell = ell;
+    return plan;
 }
 
 void

@@ -16,6 +16,7 @@
 
 #include "common/types.hh"
 #include "modmath/modulus.hh"
+#include "poly/simd/simd.hh"
 
 namespace ive {
 
@@ -61,6 +62,13 @@ class RnsBase
     /** (Q/q_i) mod q_j table access, used by iCRT hardware model. */
     u64 qHatInv(int i) const { return qHatInvModQi_[i]; }
 
+    /**
+     * The digit decomposer's plan for a base-2^log_z, ell-digit gadget
+     * over this basis: pointers into this basis's iCRT tables and its
+     * Garner tables (null unless every prime is below 2^32).
+     */
+    simd::DigitPlan digitPlan(int log_z, int ell) const;
+
   private:
     std::vector<Modulus> moduli_;
     u128 q_ = 1;
@@ -68,6 +76,10 @@ class RnsBase
     std::vector<u128> qHat_;         ///< Q / q_i.
     std::vector<u64> qHatInvModQi_;  ///< (Q/q_i)^{-1} mod q_i.
     std::vector<u64> qHatInvShoup_;  ///< x2^64 companions of the above.
+    /** Garner mixed-radix constants, rows 1..k-1 packed (layout in
+     *  simd::DigitPlan), and their floor(c * 2^32 / q_i) companions. */
+    std::vector<u64> garner_;
+    std::vector<u64> garnerShoup32_;
 };
 
 } // namespace ive

@@ -44,7 +44,8 @@ dispatchMetrics()
                   "queries rejected at admission (Overloaded)"),
         r.counter(n::kDeadlineMissDispatch,
                   "queries whose deadline expired in the queue"),
-        r.gauge(n::kDispatchQueueDepth, "queries waiting for a window"),
+        r.gauge(n::kDispatchQueueDepth,
+                "requests waiting for dispatch, summed over dispatchers"),
         r.histogram(n::kDispatchWindowWaitNs,
                     "submit-to-dispatch wait per query"),
         r.histogram(n::kDispatchBatchSize, "queries per batch"),
@@ -121,7 +122,9 @@ ShardDispatcher::submit(std::vector<u8> query_blob, AnswerFn work,
                           queue_.size(), cfg_.maxQueue)));
         } else {
             queue_.push_back(std::move(p));
-            dm.queueDepth.set(static_cast<i64>(queue_.size()));
+            // The gauge is process-wide and a server runs two
+            // dispatchers, so each one moves it by its own deltas.
+            dm.queueDepth.add(1);
         }
     }
     if (rejection) {
@@ -194,7 +197,7 @@ ShardDispatcher::runLoop()
         }
         inFlight_ = !batch.empty();
         DispatchMetrics &dm = dispatchMetrics();
-        dm.queueDepth.set(static_cast<i64>(queue_.size()));
+        dm.queueDepth.add(-static_cast<i64>(take));
         lk.unlock();
 
         if (!lapsed.empty()) {

@@ -11,7 +11,7 @@
  * contract; the clean-path suites then run honest values through the
  * same audited kernels at corner primes (28-bit paper primes, the
  * 2^32 fused-MAC boundary, the 2^50 IFMA bound, 60-bit strict) and
- * require silence.
+ * at the exact u64 chain-length bound, and require silence.
  *
  * Under a normal build (IVE_RANGE_CHECKS_ENABLED == 0) the audits
  * compile to nothing, so every suite here skips — presence in tier-1
@@ -29,6 +29,8 @@
 #include "ntt/ntt.hh"
 #include "poly/kernels.hh"
 #include "poly/simd/simd.hh"
+#include "rns/gadget.hh"
+#include "rns/rns_base.hh"
 
 using namespace ive;
 
@@ -136,69 +138,59 @@ TEST(Contracts, VectorAddRejectsNonCanonicalOperand)
                  ContractViolation);
 }
 
-TEST(Contracts, MacAccumulateRejectsOperandAtFusedBound)
+TEST(Contracts, MacRejectsOperandAtFusedBound)
 {
     IVE_REQUIRE_CHECKED_BUILD();
-    std::vector<u128> acc(kN, 0);
+    std::vector<u64> acc(kN, 0);
+    std::vector<u128> acc128(kN, 0);
     std::vector<u64> a(kN, 1), b(kN, 1);
     a[0] = simd::kFusedMacModulusBound; // 2^32: first value outside.
+    EXPECT_THROW(scalarK().macChainLink(acc.data(), a.data(), b.data(),
+                                        kN, false),
+                 ContractViolation);
     EXPECT_THROW(
-        scalarK().macAccumulate(acc.data(), a.data(), b.data(), kN),
+        scalarK().macAccumulate(acc128.data(), a.data(), b.data(), kN),
         ContractViolation);
 }
 
-TEST(Contracts, MacReduceRejectsAccumulatorHighWordAtBound)
+TEST(Contracts, MacChainRejectsAccumulatorPastBound)
 {
     IVE_REQUIRE_CHECKED_BUILD();
+    // One link more than the longest fused chain, every operand q - 1,
+    // on top of a q - 1 addend: the raw u64 sum wraps, and the audit
+    // must catch the link that wraps it.
     u64 q = smallPrime();
-    Modulus mod(q);
-    std::vector<u128> acc(kN, 0);
-    std::vector<u64> dst(kN, 0);
-    // acc >> 64 == 2^32 exactly: the deferred Barrett's precondition
-    // (high word < 2^32) no longer holds.
-    acc[1] = static_cast<u128>(simd::kFusedMacModulusBound) << 64;
-    EXPECT_THROW(scalarK().macReduce(dst.data(), acc.data(), kN, mod),
-                 ContractViolation);
+    const u64 max = kernels::fusedMacMaxChain(q);
+    const u128 total = static_cast<u128>(q - 1) * (q - 1) * (max + 1) +
+                       (q - 1);
+    ASSERT_GT(total, static_cast<u128>(~u64{0}));
+    std::vector<u64> acc(kN, q - 1);
+    std::vector<u64> a(kN, q - 1), b(kN, q - 1);
     EXPECT_THROW(
-        scalarK().macReduceAdd(dst.data(), acc.data(), kN, mod),
+        {
+            for (u64 link = 0; link <= max; ++link)
+                scalarK().macChainLink(acc.data(), a.data(), b.data(),
+                                       kN, false);
+        },
         ContractViolation);
 }
 
-TEST(Contracts, MergeMacPartialRejectsHighWordAtBound)
+TEST(Contracts, DigitDecomposerRejectsNonCanonicalResidue)
 {
     IVE_REQUIRE_CHECKED_BUILD();
-    // A split RowSel chain merges per-segment u128 partials before its
-    // single deferred reduction; each partial must still satisfy
-    // acc >> 64 < 2^32 or the merged total can wrap past 128 bits.
-    std::vector<u128> dst(kN, 5);
-    std::vector<u128> src(kN, 0);
-    src[3] = static_cast<u128>(simd::kFusedMacModulusBound) << 64;
-    EXPECT_THROW(kernels::mergeMacPartial(dst.data(), src.data(), kN),
+    std::vector<u64> primes(kIvePrimes.begin(), kIvePrimes.end());
+    RnsBase base(primes);
+    Gadget gadget(&base, 13, 9);
+    const simd::DigitPlan plan = gadget.digitPlan();
+    std::vector<u64> src(4 * kN, 0);
+    src[2 * kN + 5] = base.modulus(2).value(); // x_2 == q_2.
+    std::vector<std::vector<u64>> digits(9, std::vector<u64>(4 * kN));
+    std::vector<u64 *> dst;
+    for (auto &d : digits)
+        dst.push_back(d.data());
+    EXPECT_THROW(scalarK().decomposeDigits(plan, src.data(), kN, 0, kN,
+                                           dst.data()),
                  ContractViolation);
-    EXPECT_THROW(kernels::auditMacPartial(src.data(), kN),
-                 ContractViolation);
-}
-
-TEST(Contracts, MergeMacPartialCleanJustBelowBoundAndExact)
-{
-    IVE_REQUIRE_CHECKED_BUILD();
-    // Honest partials just below the headroom bound pass, and the
-    // merge is the exact wrapping u128 sum.
-    std::vector<u128> dst(kN);
-    std::vector<u128> src(kN);
-    for (u64 i = 0; i < kN; ++i) {
-        dst[i] = (static_cast<u128>(i) << 64) | 7;
-        src[i] = (static_cast<u128>(simd::kFusedMacModulusBound - 1)
-                  << 64) |
-                 i;
-    }
-    std::vector<u128> expect(kN);
-    for (u64 i = 0; i < kN; ++i)
-        expect[i] = dst[i] + src[i];
-    EXPECT_NO_THROW(
-        kernels::mergeMacPartial(dst.data(), src.data(), kN));
-    for (u64 i = 0; i < kN; ++i)
-        EXPECT_TRUE(dst[i] == expect[i]) << "word " << i;
 }
 
 TEST(Contracts, CoeffMapRejectsOutOfRangePosition)
@@ -249,38 +241,31 @@ TEST(Contracts, NttRoundTripCleanAtCornerPrimes)
     }
 }
 
-TEST(Contracts, MaximalFusedChainCleanJustBelowHighWordBound)
+TEST(Contracts, MaximalFusedChainCleanAndExact)
 {
     IVE_REQUIRE_CHECKED_BUILD();
-    // Seed the accumulator at the largest legal high word (2^32 - 1)
-    // and reduce: the audit admits the documented bound exactly.
-    u64 q = smallPrime();
-    Modulus mod(q);
-    std::vector<u128> acc(
-        kN, (static_cast<u128>(simd::kFusedMacModulusBound - 1) << 64) |
-                ~u64{0});
-    std::vector<u64> dst(kN, 0);
-    EXPECT_NO_THROW(
-        scalarK().macReduce(dst.data(), acc.data(), kN, mod));
-    for (u64 v : dst)
-        EXPECT_LT(v, q);
-}
-
-TEST(Contracts, FusedMacChainCleanWithMaximalOperands)
-{
-    IVE_REQUIRE_CHECKED_BUILD();
-    // A long chain of maximal sub-2^32 products stays reducible.
-    u64 q = findNttPrimes(31, kN, 1).at(0);
-    Modulus mod(q);
-    std::vector<u128> acc(kN, 0);
-    std::vector<u64> a(kN, q - 1), b(kN, q - 1);
-    std::vector<u64> dst(kN, 0);
-    EXPECT_NO_THROW({
-        for (int rep = 0; rep < 1000; ++rep)
-            scalarK().macAccumulate(acc.data(), a.data(), b.data(), kN);
-        scalarK().macReduceAdd(dst.data(), acc.data(), kN, mod);
-    });
-    // Cross-check one lane against direct modular arithmetic.
-    u64 expect = mod.mul(mod.mul(q - 1, q - 1), 1000 % q);
-    EXPECT_EQ(dst[0], expect);
+    // Exactly the longest fused chain of q - 1 products on top of a
+    // q - 1 addend, at the paper prime and just below 2^31 and 2^32:
+    // the audits admit the documented bound exactly, and the one
+    // deferred reduction gives the exact modular sum.
+    std::vector<u64> primes{smallPrime()};
+    for (int bits : {31, 32})
+        primes.push_back(findNttPrimes(bits, kN, 1).at(0));
+    for (u64 q : primes) {
+        Modulus mod(q);
+        const u64 max = kernels::fusedMacMaxChain(q);
+        ASSERT_GE(max, 1u) << "q = " << q;
+        std::vector<u64> acc(kN, q - 1);
+        std::vector<u64> a(kN, q - 1), b(kN, q - 1);
+        EXPECT_NO_THROW({
+            for (u64 link = 0; link < max; ++link)
+                scalarK().macChainLink(acc.data(), a.data(), b.data(),
+                                       kN, false);
+            scalarK().macChainReduce(acc.data(), kN, mod);
+        }) << "q = " << q;
+        u64 expect = mod.add(mod.mul(mod.mul(q - 1, q - 1), max % q),
+                             q - 1);
+        for (u64 v : acc)
+            ASSERT_EQ(v, expect) << "q = " << q;
+    }
 }

@@ -131,55 +131,91 @@ TEST(Kernels, LazyNttAdversarialResidues)
 
 TEST(Kernels, FusedMacOkBoundary)
 {
-    // Fused accumulation requires products < 2^64: exactly q < 2^32.
-    EXPECT_TRUE(kernels::fusedMacOk(Modulus(kIvePrimes[0])));
+    // A fused chain needs (q - 1)^2 * links + q < 2^64: about 960
+    // links for the paper primes, a single link just below 2^32, and
+    // none at or above 2^32.
+    const Modulus ive(kIvePrimes.back());
+    const u64 ive_max = kernels::fusedMacMaxChain(ive.value());
+    EXPECT_GE(ive_max, 900u);
+    EXPECT_LE(ive_max, 1100u);
+    EXPECT_TRUE(kernels::fusedMacOk(ive, 256));
+    EXPECT_TRUE(kernels::fusedMacOk(ive, ive_max));
+    EXPECT_FALSE(kernels::fusedMacOk(ive, ive_max + 1));
+    const u128 edge = static_cast<u128>(ive.value() - 1) *
+                      (ive.value() - 1);
+    EXPECT_LT(edge * ive_max + ive.value(), u128{1} << 64);
+    EXPECT_GE(edge * (ive_max + 1) + ive.value(), u128{1} << 64);
+
     u64 below = findNttPrimes(32, 256, 1)[0];
     ASSERT_LT(below, u64{1} << 32);
-    EXPECT_TRUE(kernels::fusedMacOk(Modulus(below)));
+    EXPECT_TRUE(kernels::fusedMacOk(Modulus(below), 1));
+    EXPECT_FALSE(kernels::fusedMacOk(Modulus(below), 2));
     u64 above = findNttPrimes(33, 256, 1)[0];
     ASSERT_GE(above, u64{1} << 32);
-    EXPECT_FALSE(kernels::fusedMacOk(Modulus(above)));
+    EXPECT_FALSE(kernels::fusedMacOk(Modulus(above), 1));
 }
+
+namespace {
+
+/**
+ * Runs a chain of `links` links through the chain helpers on top of
+ * `addend` (or storing the first link when addend is empty). Chains at
+ * or past the fused edge use q - 1 operands throughout, the largest
+ * sum the bound admits; shorter chains alternate maximal and random
+ * links. Returns the result and the strict per-product reference.
+ */
+std::pair<std::vector<u64>, std::vector<u64>>
+runChain(const Modulus &mod, u64 links, u64 n,
+         const std::vector<u64> &addend, Rng &rng)
+{
+    const u64 q = mod.value();
+    std::vector<u64> dst = addend.empty() ? std::vector<u64>(n, ~u64{0})
+                                          : addend;
+    std::vector<u64> strict =
+        addend.empty() ? std::vector<u64>(n, 0) : addend;
+    for (u64 c = 0; c < links; ++c) {
+        std::vector<u64> a(n, q - 1), b(n, q - 1);
+        if (links < kernels::fusedMacMaxChain(q) && c % 2 == 1) {
+            a = randomCanonical(n, q, rng);
+            b = randomCanonical(n, q, rng);
+        }
+        kernels::chainMacAcc(mod, links, n, dst.data(), a.data(),
+                             b.data(), c == 0 && addend.empty());
+        kernels::mulAccVec(strict.data(), a.data(), b.data(), n, mod);
+    }
+    kernels::chainMacFinish(mod, links, n, dst.data());
+    return {dst, strict};
+}
+
+} // namespace
 
 TEST(Kernels, FusedMacChainMatchesStrict)
 {
-    // Long chains of maximal residues: the u128 accumulator must agree
-    // with per-product strict reduction after its single deferred
-    // Barrett pass. 4096 * (2^32-1)^2 stays far below 2^128.
+    // Chains up to exactly the longest fused length: the u64
+    // accumulator must agree with per-product strict reduction after
+    // its one deferred Barrett pass, with and without an addend. One
+    // link more runs strict and stays exact.
     Rng rng(11);
     const u64 n = 64;
     for (u64 q : sweepPrimes(n)) {
         Modulus mod(q);
-        if (!kernels::fusedMacOk(mod))
-            continue;
-        for (u64 chain : {u64{1}, u64{7}, u64{256}, u64{4096}}) {
-            std::vector<u128> acc(n, 0);
-            std::vector<u64> strict(n, 0);
-            for (u64 c = 0; c < chain; ++c) {
-                std::vector<u64> a, b;
-                if (c == 0) {
-                    // Adversarial first link: everything maximal.
-                    a.assign(n, q - 1);
-                    b.assign(n, q - 1);
-                } else {
-                    a = randomCanonical(n, q, rng);
-                    b = randomCanonical(n, q, rng);
+        const u64 max = kernels::fusedMacMaxChain(q);
+        std::vector<u64> lengths = {1, 7, 16};
+        if (max > 0 && max < 2048)
+            lengths.insert(lengths.end(), {max, max + 1});
+        for (u64 links : lengths) {
+            for (bool with_addend : {false, true}) {
+                std::vector<u64> addend;
+                if (with_addend) {
+                    addend = randomCanonical(n, q, rng);
+                    addend[0] = q - 1;
                 }
-                kernels::macAccumulate(acc.data(), a.data(), b.data(),
-                                       n);
-                kernels::mulAccVec(strict.data(), a.data(), b.data(), n,
-                                   mod);
+                auto [got, strict] = runChain(mod, links, n, addend, rng);
+                ASSERT_EQ(got, strict)
+                    << "q=" << q << " links=" << links
+                    << " fused=" << kernels::fusedMacOk(mod, links)
+                    << " addend=" << with_addend;
             }
-            std::vector<u64> fused(n);
-            kernels::macReduce(fused.data(), acc.data(), n, mod);
-            ASSERT_EQ(fused, strict) << "q=" << q << " chain=" << chain;
-
-            // macReduceAdd: dst + (acc mod q).
-            std::vector<u64> base = randomCanonical(n, q, rng);
-            std::vector<u64> added = base;
-            kernels::macReduceAdd(added.data(), acc.data(), n, mod);
-            for (u64 i = 0; i < n; ++i)
-                ASSERT_EQ(added[i], mod.add(base[i], fused[i]));
         }
     }
 }

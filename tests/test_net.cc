@@ -489,6 +489,32 @@ TEST(DispatcherCallbacks, ShutdownRejectsViaCallbackNotThrow)
     EXPECT_THROW(std::rethrow_exception(err), ShutdownError);
 }
 
+TEST(DispatcherCallbacks, QueueDepthGaugeSumsOverDispatchers)
+{
+    // A server runs a query lane and a registration lane, and both move
+    // the one process-wide depth gauge: holding 2 and 1 queued items
+    // they raise it by 3, not to the last writer's own depth.
+    obs::Gauge &depth =
+        obs::Registry::global().gauge(obs::names::kDispatchQueueDepth);
+    const i64 before = depth.value();
+    SchedulerConfig cfg;
+    cfg.windowSec = 5.0; // Items wait in the window until shutdown.
+    std::atomic<int> done{0};
+    {
+        ShardDispatcher d1(cfg), d2(cfg);
+        auto work = [](const std::vector<u8> &blob) { return blob; };
+        auto count = [&](std::vector<u8>, std::exception_ptr) { ++done; };
+        d1.submit({1}, work, count);
+        d1.submit({2}, work, count);
+        d2.submit({3}, work, count);
+        EXPECT_EQ(depth.value() - before, 3);
+        d1.shutdown();
+        d2.shutdown();
+    }
+    EXPECT_EQ(done.load(), 3);
+    EXPECT_EQ(depth.value(), before);
+}
+
 // ---------------------------------------------------------------------
 // Socket end-to-end: byte identity with the in-process path.
 
@@ -588,6 +614,46 @@ TEST(NetServer, ThunkErrorsArriveAsTypedFrames)
 
     std::vector<u8> qblob = cl.queryBlob(3);
     EXPECT_EQ(tcp.query(7, gen, qblob), ref.answer(qblob));
+}
+
+TEST(NetServer, RegistrationSkipsTheQueryWindow)
+{
+    // Under a 5 s query window a RegisterKeys round trip still ends in
+    // well under a second: registrations run on their own lane, also
+    // while a query from another connection waits in that window.
+    net::NetServerConfig cfg;
+    cfg.scheduler.windowSec = 5.0;
+    NetFixture f(cfg);
+    ClientSession a(f.params, 31), b(f.params, 32);
+    PirTcpClient ca = f.connect(), cb = f.connect();
+    using Clock = std::chrono::steady_clock;
+    auto seconds_since = [](Clock::time_point t0) {
+        return std::chrono::duration<double>(Clock::now() - t0).count();
+    };
+
+    auto t0 = Clock::now();
+    u64 ga = ca.registerKeys(1, a.paramsBlob(), a.keyBlob());
+    EXPECT_LT(seconds_since(t0), 1.0);
+
+    // Park a query in the window, and wait until the server holds it.
+    obs::Gauge &depth =
+        obs::Registry::global().gauge(obs::names::kDispatchQueueDepth);
+    const i64 idle = depth.value();
+    PirQueryRef ref;
+    ref.clientId = 1;
+    ref.generation = ga;
+    ref.queryBlob = a.queryBlob(0);
+    ca.sendFrame(serializeQueryRef(ref));
+    auto wait_start = Clock::now();
+    while (depth.value() == idle && seconds_since(wait_start) < 2.0)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_EQ(depth.value(), idle + 1) << "query never reached the window";
+
+    t0 = Clock::now();
+    u64 gb = cb.registerKeys(2, b.paramsBlob(), b.keyBlob());
+    EXPECT_LT(seconds_since(t0), 1.0);
+    EXPECT_NE(ga, gb);
+    EXPECT_EQ(depth.value(), idle + 1); // The query still waits.
 }
 
 TEST(NetServer, TwoClientsInterleaved)

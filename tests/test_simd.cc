@@ -6,7 +6,9 @@
  * the strict kernels — across ring degrees, prime widths (28-bit
  * Solinas through the 31/32-bit fused-MAC boundary to 45/60-bit
  * strict/non-IFMA fallbacks), unaligned tails, and adversarial values
- * at the q/2q/4q edges of the lazy ranges.
+ * at the q/2q/4q edges of the lazy ranges. The gadget digit decomposer
+ * is swept over mixed-width bases, both shipped gadgets and logZ = 30,
+ * with ranges off the lane grid and x = 0 / x = Q - 1 planted.
  *
  * The avx512 table is tested as resolved for this CPU: on IFMA parts
  * that covers the 52-bit vpmadd52 butterflies (plus their null-
@@ -27,6 +29,8 @@
 #include "poly/kernels.hh"
 #include "poly/poly.hh"
 #include "poly/simd/simd.hh"
+#include "rns/gadget.hh"
+#include "rns/rns_base.hh"
 
 using namespace ive;
 
@@ -253,38 +257,181 @@ TEST(Simd, MacAccumulateMatchesScalarWithCarryCorners)
     }
 }
 
-TEST(Simd, MacReduceMatchesScalarAcrossPrimeClasses)
+TEST(Simd, MacChainMatchesScalarAcrossPrimeClasses)
 {
     Rng rng(13);
     for (u64 n : {u64{3}, u64{8}, u64{11}, u64{512}}) {
         for (u64 q : sweepPrimes(256)) {
             const Modulus mod(q);
-            std::vector<u128> acc(n);
-            for (u64 i = 0; i < n; ++i) {
-                // Contract: acc >> 64 < 2^32. Hit the edges.
-                u64 hi = (i % 3 == 0) ? (u64{1} << 32) - 1
-                                      : rng.uniform(u64{1} << 32);
-                u64 lo = (i % 2 == 0) ? ~u64{0} : rng.uniform(~u64{0});
-                acc[i] = (static_cast<u128>(hi) << 64) | lo;
+            // Links take residues below 2^32 (the fused class); the
+            // reduction takes any u64, for every prime class.
+            if (q < simd::kFusedMacModulusBound) {
+                std::vector<u64> a = randomCanonical(n, q, rng);
+                std::vector<u64> b = randomCanonical(n, q, rng);
+                a[0] = q - 1;
+                b[0] = q - 1; // maximal product
+                std::vector<u64> base = randomCanonical(n, q, rng);
+                for (const simd::Kernels *k : allBackends()) {
+                    for (bool store : {true, false}) {
+                        std::vector<u64> got = base, want = base;
+                        k->macChainLink(got.data(), a.data(), b.data(), n,
+                                        store);
+                        scalarK().macChainLink(want.data(), a.data(),
+                                               b.data(), n, store);
+                        ASSERT_EQ(got, want) << k->name << " link n=" << n
+                                             << " q=" << q
+                                             << " store=" << store;
+                    }
+                }
             }
-            std::vector<u64> dst0 = randomCanonical(n, q, rng);
+            std::vector<u64> acc(n);
+            for (u64 i = 0; i < n; ++i)
+                acc[i] = (i % 3 == 0) ? ~u64{0} : rng.uniform(~u64{0});
+            acc[n - 1] = 0;
             for (const simd::Kernels *k : allBackends()) {
-                std::vector<u64> got(n), want(n);
-                k->macReduce(got.data(), acc.data(), n, mod);
-                scalarK().macReduce(want.data(), acc.data(),
-                                               n, mod);
+                std::vector<u64> got = acc, want = acc;
+                k->macChainReduce(got.data(), n, mod);
+                scalarK().macChainReduce(want.data(), n, mod);
                 ASSERT_EQ(got, want)
                     << k->name << " reduce n=" << n << " q=" << q;
-                std::vector<u64> gadd = dst0, wadd = dst0;
-                k->macReduceAdd(gadd.data(), acc.data(), n, mod);
-                scalarK().macReduceAdd(wadd.data(),
-                                                  acc.data(), n, mod);
-                ASSERT_EQ(gadd, wadd)
-                    << k->name << " reduceAdd n=" << n << " q=" << q;
                 // The scalar reference itself must agree with the
                 // general 128-bit Barrett.
                 for (u64 i = 0; i < n; ++i)
                     ASSERT_EQ(want[i], mod.reduce(acc[i]));
+            }
+        }
+    }
+}
+
+namespace {
+
+/** One basis + gadget case for the digit decomposer sweep. */
+struct DigitCase
+{
+    std::vector<u64> primes;
+    int logZ;
+};
+
+/** Smallest ell with ell * logZ >= log2(Q) (what Gadget admits). */
+int
+digitsFor(const RnsBase &base, int log_z)
+{
+    int ell = 1;
+    while (static_cast<double>(log_z) * ell < base.logQ())
+        ++ell;
+    return ell;
+}
+
+/** Primes of about `bits` bits, NTT-friendly at degree n. */
+u64
+primeOf(int bits, u64 n, int index = 0)
+{
+    auto found = findNttPrimes(bits, n, index + 1);
+    EXPECT_GT(found.size(), static_cast<size_t>(index));
+    return found.at(static_cast<size_t>(index));
+}
+
+std::vector<DigitCase>
+digitCases(u64 n)
+{
+    std::vector<u64> ive(kIvePrimes.begin(), kIvePrimes.end());
+    // findNttPrimes scans down from 2^bits: a "31-bit" prime is just
+    // below 2^31, so at or above z = 2^30.
+    const u64 p28 = primeOf(28, n), p30a = primeOf(30, n),
+              p30b = primeOf(30, n, 1), p31a = primeOf(31, n),
+              p31b = primeOf(31, n, 1), p32 = primeOf(32, n),
+              p33 = primeOf(33, n), p45 = primeOf(45, n);
+    return {
+        // The paper primes with both shipped gadgets and the paper's
+        // z = 2^22.
+        {ive, 13},
+        {ive, 14},
+        {ive, 22},
+        // Mixed 28/30-bit bases (primes far from equal in size).
+        {{p28, p30a, ive[0]}, 14},
+        {{p30a, ive[1], p28, p30b}, 13},
+        {{ive[3], p30a, p30b, ive[2]}, 22},
+        // logZ = 30 over primes at or above 2^30.
+        {{p31a, p31b, p32}, 30},
+        // The 31/32-bit boundary of the 32-bit lane products.
+        {{p31a, p32, ive[0]}, 16},
+        // A prime >= 2^32: no Garner tables, the scalar path.
+        {{p33, ive[0]}, 13},
+        {{ive[1], p45}, 20},
+        // z above a prime: digits are reduced in that plane.
+        {{ive[0], p30a}, 30},
+    };
+}
+
+} // namespace
+
+TEST(Simd, DigitDecomposerMatchesScalarAcrossBasesAndRanges)
+{
+    Rng rng(29);
+    for (u64 n : {u64{256}, u64{1024}, u64{4096}}) {
+        for (const DigitCase &dc : digitCases(n)) {
+            RnsBase base(dc.primes);
+            const int k = base.size();
+            Gadget gadget(&base, dc.logZ, digitsFor(base, dc.logZ));
+            const simd::DigitPlan plan = gadget.digitPlan();
+            const int ell = plan.ell;
+            bool below32 = true;
+            for (u64 q : dc.primes)
+                below32 = below32 && q < simd::kFusedMacModulusBound;
+            ASSERT_EQ(plan.garner != nullptr, below32);
+
+            // Random residues, with x = 0 and x = Q - 1 planted at
+            // both ends of the vector body and in the tail.
+            std::vector<u64> src(static_cast<size_t>(k) * n);
+            for (int p = 0; p < k; ++p) {
+                const u64 q = base.modulus(p).value();
+                for (u64 i = 0; i < n; ++i) {
+                    u64 v = rng.uniform(q);
+                    if (i % 97 == 3 || i == n - 1)
+                        v = 0;
+                    else if (i % 89 == 4 || i == n - 2)
+                        v = q - 1;
+                    src[p * n + i] = v;
+                }
+            }
+            // Ranges that start and end off the 8-lane grid.
+            std::vector<std::pair<u64, u64>> ranges = {
+                {0, n}, {3, n - 5}, {1, 9}, {n - 7, n}, {5, 6}};
+            for (auto [from, to] : ranges) {
+                const size_t words = static_cast<size_t>(k) * n;
+                std::vector<std::vector<u64>> want(
+                    ell, std::vector<u64>(words, ~u64{0}));
+                std::vector<u64 *> want_ptr;
+                for (auto &d : want)
+                    want_ptr.push_back(d.data());
+                scalarK().decomposeDigits(plan, src.data(), n, from, to,
+                                          want_ptr.data());
+                // The scalar reference is today's fromRns + decompose.
+                std::vector<u64> res(k), dig(ell);
+                for (u64 i = from; i < to; i += 37) {
+                    for (int p = 0; p < k; ++p)
+                        res[p] = src[p * n + i];
+                    gadget.decompose(base.fromRns(res), dig);
+                    for (int j = 0; j < ell; ++j)
+                        for (int p = 0; p < k; ++p)
+                            ASSERT_EQ(want[j][p * n + i],
+                                      dig[j] % base.modulus(p).value())
+                                << "scalar i=" << i << " j=" << j;
+                }
+                for (const simd::Kernels *b : allBackends()) {
+                    std::vector<std::vector<u64>> got(
+                        ell, std::vector<u64>(words, ~u64{0}));
+                    std::vector<u64 *> got_ptr;
+                    for (auto &d : got)
+                        got_ptr.push_back(d.data());
+                    b->decomposeDigits(plan, src.data(), n, from, to,
+                                       got_ptr.data());
+                    for (int j = 0; j < ell; ++j)
+                        ASSERT_EQ(got[j], want[j])
+                            << b->name << " n=" << n << " k=" << k
+                            << " logZ=" << dc.logZ << " digit " << j
+                            << " range [" << from << ", " << to << ")";
+                }
             }
         }
     }
