@@ -348,6 +348,31 @@ isaMacChain(benchmark::State &state, const simd::Kernels *k)
 }
 
 void
+isaMacPair(benchmark::State &state, const simd::Kernels *k)
+{
+    // The same 64-long chain into two output planes that share the
+    // first operand (RowSel's DB plane times leaf a and b): one pair
+    // link per step. Items count both planes' MACs.
+    auto &f = fixture();
+    const Ring &ring = f.ctx.ring();
+    const Modulus &mod = ring.base.modulus(0);
+    std::span<const u64> a = f.dbEntry.residues(0);
+    std::span<const u64> b0 = f.ct.a.residues(0);
+    std::span<const u64> b1 = f.ct.b.residues(0);
+    std::vector<u64> out0(ring.n), out1(ring.n);
+    for (auto _ : state) {
+        for (int c = 0; c < 64; ++c)
+            k->macChainPair(out0.data(), out1.data(), a.data(), b0.data(),
+                            b1.data(), ring.n, c == 0, c == 0);
+        k->macChainReduce(out0.data(), ring.n, mod);
+        k->macChainReduce(out1.data(), ring.n, mod);
+        benchmark::DoNotOptimize(out0.data());
+        benchmark::DoNotOptimize(out1.data());
+    }
+    state.SetItemsProcessed(state.iterations() * 2 * 64 * ring.n);
+}
+
+void
 isaDigitDecompose(benchmark::State &state, const simd::Kernels *k)
 {
     // The iCRT + digit extraction of one key-switch decomposition (the
@@ -399,6 +424,7 @@ registerIsaBenches()
         registerIsaBench("NttForward", k, &isaNttForward);
         registerIsaBench("NttInverse", k, &isaNttInverse);
         registerIsaBench("MacChain", k, &isaMacChain);
+        registerIsaBench("MacPair", k, &isaMacPair);
         registerIsaBench("DigitDecompose", k, &isaDigitDecompose);
         registerIsaBench("ApplyCoeffMap", k, &isaApplyCoeffMap);
     }

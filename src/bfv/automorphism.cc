@@ -49,7 +49,8 @@ subsInto(const HeContext &ctx, const BfvCiphertext &ct, const EvkKey &evk,
     const Gadget &gadget = ctx.gadgetKs();
     int ell = gadget.ell();
     ive_assert(&ct != &out);
-    ive_assert(out.a.isNtt());
+    ive_assert(ct.a.isNtt() && ct.b.isNtt());
+    ive_assert(out.a.isNtt() && out.b.isNtt());
     ive_assert(out.a.n() == ring.n && out.a.k() == ring.k());
     // Key rows arrive in NTT form (the key decoder rejects any other)
     // and the key-switch chains below use them directly.
@@ -58,41 +59,32 @@ subsInto(const HeContext &ctx, const BfvCiphertext &ct, const EvkKey &evk,
 
     const u64 n = ring.n;
     const int nk = ring.k();
+    const AutomorphismMaps &maps = ctx.automorphismMaps(evk.r);
 
-    // Automorphism on both polynomials (coefficient domain); the
-    // index/flip map depends only on (r, n), so build it once and
-    // apply it to both.
-    WordLease map(ws, n);
-    RnsPoly::automorphismMap(n, evk.r, map.span());
-
-    // Phase 1: each (side, plane) pair is independent — copy the
-    // plane, inverse-transform, permute; the b side also transforms
-    // sigma_r(b) straight back to NTT form, since out.b is the key-
-    // switch chain's addend. Two scratch polys (instead of the old
-    // reused tmp) keep the sides write-disjoint.
+    // Phase 1: each (side, plane) pair is independent. The a side
+    // needs coefficient form for the gadget decomposition: copy the
+    // plane, inverse-transform, permute. The b side stays in NTT form,
+    // where sigma_r is a slot permutation: it lands straight in out.b,
+    // the key-switch chain's addend. That makes 4k + 4k * ellKs
+    // prime-NTTs per Subs (40 at the bench shape).
     PolyLease tmp_a(ws, ring, Domain::Coeff);
-    PolyLease tmp_b(ws, ring, Domain::Coeff);
     PolyLease a_rot(ws, ring, Domain::Coeff);
-    {
-        const RnsPoly *src[2] = {&ct.a, &ct.b};
-        RnsPoly *scratch[2] = {&*tmp_a, &*tmp_b};
-        RnsPoly *rot[2] = {&*a_rot, &out.b};
-        const u64 *map_data = map.data();
-        parallelFor(0, 2 * static_cast<u64>(nk), [&](u64 t) {
-            int side = static_cast<int>(t / nk);
-            int p = static_cast<int>(t % nk);
-            const u64 q = ring.base.modulus(p).value();
-            std::span<const u64> s = src[side]->residues(p);
-            std::span<u64> d = scratch[side]->residues(p);
-            std::copy(s.begin(), s.end(), d.begin());
-            ring.ntt[static_cast<size_t>(p)].inverse(d);
-            u64 *r = rot[side]->residues(p).data();
-            kernels::applyCoeffMapVec(r, d.data(), map_data, n, q);
-            if (side == 1)
-                ring.ntt[static_cast<size_t>(p)].forward(
-                    rot[side]->residues(p));
-        });
-    }
+    parallelFor(0, 2 * static_cast<u64>(nk), [&](u64 t) {
+        const int p = static_cast<int>(t % nk);
+        const u64 q = ring.base.modulus(p).value();
+        if (t >= static_cast<u64>(nk)) {
+            kernels::applyCoeffMapVec(out.b.residues(p).data(),
+                                      ct.b.residues(p).data(),
+                                      maps.ntt.data(), n, q);
+            return;
+        }
+        std::span<const u64> s = ct.a.residues(p);
+        std::span<u64> d = tmp_a->residues(p);
+        std::copy(s.begin(), s.end(), d.begin());
+        ring.ntt[static_cast<size_t>(p)].inverse(d);
+        kernels::applyCoeffMapVec(a_rot->residues(p).data(), d.data(),
+                                  maps.coeff.data(), n, q);
+    });
 
     // Phase 2: key switch sigma_r(a) back under s: out.a =
     // sum_k d_k * evk_k.a, out.b = sigma_r(b) + sum_k d_k * evk_k.b,
@@ -102,11 +94,11 @@ subsInto(const HeContext &ctx, const BfvCiphertext &ct, const EvkKey &evk,
 
     // Phase 3: per-plane tasks, each running both sides' key-switch
     // chains for its plane in the exact serial link order (k
-    // ascending, a then b per digit), accumulating in the output planes
-    // themselves. One task per plane keeps each digit plane cache-hot
-    // across its two uses; the per-plane order never changes, so
-    // outputs are byte-identical at any thread count. out.a's first
-    // link stores; out.b already holds sigma_r(b), the chain's addend.
+    // ascending), accumulating in the output planes themselves. A pair
+    // link reads each digit plane once for both sides; the per-plane
+    // order never changes, so outputs are byte-identical at any thread
+    // count. out.a's first link stores; out.b already holds
+    // sigma_r(b), the chain's addend.
     const u64 links = static_cast<u64>(ell);
     parallelFor(0, static_cast<u64>(nk), [&](u64 t) {
         int p = static_cast<int>(t);
@@ -117,10 +109,10 @@ subsInto(const HeContext &ctx, const BfvCiphertext &ct, const EvkKey &evk,
             const u64 *pd =
                 digits[static_cast<size_t>(k)].residues(p).data();
             const BfvCiphertext &row = evk.rows[static_cast<size_t>(k)];
-            kernels::chainMacAcc(mod, links, n, oa, pd,
-                                 row.a.residues(p).data(), k == 0);
-            kernels::chainMacAcc(mod, links, n, ob, pd,
-                                 row.b.residues(p).data(), false);
+            kernels::chainMacPair(mod, links, n, oa, ob, pd,
+                                  row.a.residues(p).data(),
+                                  row.b.residues(p).data(), k == 0,
+                                  false);
         }
         kernels::chainMacFinish(mod, links, n, oa);
         kernels::chainMacFinish(mod, links, n, ob);

@@ -32,6 +32,25 @@ HeContext::HeContext(const HeContextConfig &cfg)
         std::make_unique<Gadget>(&ring_.base, cfg.logZKs, cfg.ellKs);
     gadgetRgsw_ =
         std::make_unique<Gadget>(&ring_.base, cfg.logZRgsw, cfg.ellRgsw);
+    maps_.resize(ring_.n);
+}
+
+const AutomorphismMaps &
+HeContext::automorphismMaps(u64 r) const
+{
+    const u64 n = ring_.n;
+    ive_assert(r % 2 == 1 && r < 2 * n);
+    LockGuard lock(mapsMu_);
+    std::unique_ptr<const AutomorphismMaps> &slot = maps_[(r - 1) / 2];
+    if (!slot) {
+        auto maps = std::make_unique<AutomorphismMaps>();
+        maps->coeff.resize(n);
+        maps->ntt.resize(n);
+        RnsPoly::automorphismMap(n, r, maps->coeff);
+        RnsPoly::nttAutomorphismMap(n, r, maps->ntt);
+        slot = std::move(maps);
+    }
+    return *slot;
 }
 
 } // namespace ive

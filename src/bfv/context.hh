@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/annotations.hh"
 #include "poly/poly.hh"
 #include "rns/gadget.hh"
 
@@ -28,6 +29,16 @@ struct HeContextConfig
     int ellKs = 9;
     int logZRgsw = 14;
     int ellRgsw = 8;
+};
+
+/**
+ * Index maps of the automorphism X -> X^r, in the (pos << 1 | flip)
+ * form RnsPoly::applyCoeffMap and simd::Kernels::applyCoeffMap take.
+ */
+struct AutomorphismMaps
+{
+    std::vector<u64> coeff; ///< RnsPoly::automorphismMap.
+    std::vector<u64> ntt;   ///< RnsPoly::nttAutomorphismMap.
 };
 
 class HeContext
@@ -51,6 +62,14 @@ class HeContext
 
     const HeContextConfig &config() const { return cfg_; }
 
+    /**
+     * The maps of X -> X^r (r odd, below 2n), built on first use and
+     * kept for the context's lifetime, as Subs runs the same few
+     * rotations on every query. Safe to call from any thread.
+     */
+    const AutomorphismMaps &automorphismMaps(u64 r) const
+        IVE_EXCLUDES(mapsMu_);
+
   private:
     HeContextConfig cfg_;
     Ring ring_;
@@ -59,6 +78,10 @@ class HeContext
     std::vector<u64> deltaRns_;
     std::unique_ptr<Gadget> gadgetKs_;
     std::unique_ptr<Gadget> gadgetRgsw_;
+    mutable Mutex mapsMu_;
+    /** Indexed by (r - 1) / 2; entries never move once built. */
+    mutable std::vector<std::unique_ptr<const AutomorphismMaps>> maps_
+        IVE_GUARDED_BY(mapsMu_);
 };
 
 } // namespace ive

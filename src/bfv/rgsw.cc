@@ -176,10 +176,10 @@ externalProductInto(const HeContext &ctx, const RgswCiphertext &rgsw,
     // running both sides' MAC chains for its plane in the exact serial
     // per-plane link order (k ascending; da into a and b, then db into
     // a and b), accumulating in the output planes themselves, with the
-    // fused/strict dispatch centralized in kernels::chainMac*. One task
-    // per plane (not per side) keeps each digit plane cache-hot across
-    // its two uses; outputs are byte-identical at any thread count
-    // because the per-plane order never changes.
+    // fused/strict dispatch centralized in kernels::chainMac*. Each
+    // pair link reads its digit plane once for both sides; outputs are
+    // byte-identical at any thread count because the per-plane order
+    // never changes.
     const u64 links = 2 * static_cast<u64>(ell);
     parallelFor(0, static_cast<u64>(nk), [&](u64 t) {
         int p = static_cast<int>(t);
@@ -195,14 +195,14 @@ externalProductInto(const HeContext &ctx, const RgswCiphertext &rgsw,
                 rgsw.rows[static_cast<size_t>(k)];
             const BfvCiphertext &row_b =
                 rgsw.rows[static_cast<size_t>(ell + k)];
-            kernels::chainMacAcc(mod, links, n, oa, pa,
-                                 row_a.a.residues(p).data(), k == 0);
-            kernels::chainMacAcc(mod, links, n, ob, pa,
-                                 row_a.b.residues(p).data(), k == 0);
-            kernels::chainMacAcc(mod, links, n, oa, pb,
-                                 row_b.a.residues(p).data(), false);
-            kernels::chainMacAcc(mod, links, n, ob, pb,
-                                 row_b.b.residues(p).data(), false);
+            kernels::chainMacPair(mod, links, n, oa, ob, pa,
+                                  row_a.a.residues(p).data(),
+                                  row_a.b.residues(p).data(), k == 0,
+                                  k == 0);
+            kernels::chainMacPair(mod, links, n, oa, ob, pb,
+                                  row_b.a.residues(p).data(),
+                                  row_b.b.residues(p).data(), false,
+                                  false);
         }
         kernels::chainMacFinish(mod, links, n, oa);
         kernels::chainMacFinish(mod, links, n, ob);

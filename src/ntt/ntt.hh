@@ -33,10 +33,12 @@ class NttTable
 
     /**
      * In-place forward negacyclic NTT (coefficients -> evaluations).
-     * Runs the Harvey lazy butterflies of the active SIMD backend
-     * (poly/simd/simd.hh): intermediates in [0, 4q), one final
-     * canonicalization pass. Output values are identical to the strict
-     * reference under every backend.
+     * Runs the lazy butterflies of the active SIMD backend
+     * (poly/simd/simd.hh): Harvey's [0, 4q) intermediates, or on the
+     * AVX-512 entries unreduced ones below simd::fwdUnreducedBound
+     * where this table says the datapath holds it. Output values are
+     * canonical and identical to the strict reference under every
+     * backend.
      */
     void forward(std::span<u64> a) const;
 
@@ -60,22 +62,40 @@ class NttTable
     u64 multCount() const { return n_ / 2 * logN_; }
 
   private:
+    /**
+     * One direction's twiddles: psi powers in bit-reversed index order
+     * with x2^64 Shoup companions and, for q < 2^50 (where the bound
+     * proof of the 52-bit lazy Shoup product holds), the x2^52
+     * companions the AVX-512 IFMA butterflies consume; the 52-bit
+     * vectors stay empty above the bound, which the dispatch reads as
+     * "no IFMA path for this modulus". The lane vectors reorder the
+     * last three stages' entries for the AVX-512 register block and
+     * stay empty where no AVX-512 table runs or n < simd::kNttBlock.
+     */
+    struct Direction
+    {
+        std::vector<u64> tw;
+        std::vector<u64> shoup;
+        std::vector<u64> shoup52;
+        std::vector<u64> lane;
+        std::vector<u64> laneShoup;
+        std::vector<u64> laneShoup52;
+        bool unreduced52 = false;
+        bool unreduced64 = false;
+
+        simd::NttTwiddles view() const;
+    };
+
+    void build(Direction &dir, const std::vector<u64> &powers,
+               u128 unreduced_bound, bool ifma, bool lanes);
+
     Modulus mod_;
     u64 n_;
     int logN_;
     u64 psi_;    ///< Primitive 2n-th root of unity.
 
-    // Twiddles in bit-reversed order, with x2^64 Shoup companions and
-    // (for q < 2^50, where the bound proof of the 52-bit lazy Shoup
-    // product holds) the x2^52 companions the AVX-512 IFMA butterflies
-    // consume. The 52-bit vectors stay empty above the bound, which
-    // the dispatch reads as "no IFMA path for this modulus".
-    std::vector<u64> fwd_;
-    std::vector<u64> fwdShoup_;
-    std::vector<u64> fwdShoup52_;
-    std::vector<u64> inv_;
-    std::vector<u64> invShoup_;
-    std::vector<u64> invShoup52_;
+    Direction fwd_;
+    Direction inv_;
     u64 nInv_;
     u64 nInvShoup_;
     u64 nInvShoup52_;

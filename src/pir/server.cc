@@ -372,12 +372,11 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
                     const Modulus &mod = ring.base.modulus(p);
                     const u64 off = static_cast<u64>(p) * n;
                     const u64 *pe = entry.residues(p).data();
-                    kernels::chainMacAcc(mod, hi - lo, n, acc_a + off, pe,
-                                         leaf.a.residues(p).data(),
-                                         i == lo);
-                    kernels::chainMacAcc(mod, hi - lo, n, acc_b + off, pe,
-                                         leaf.b.residues(p).data(),
-                                         i == lo);
+                    kernels::chainMacPair(mod, hi - lo, n, acc_a + off,
+                                          acc_b + off, pe,
+                                          leaf.a.residues(p).data(),
+                                          leaf.b.residues(p).data(),
+                                          i == lo, i == lo);
                 }
             }
             for (int p = 0; p < nk; ++p) {

@@ -7,13 +7,15 @@
 #include "common/failpoint.hh"
 #include "common/logging.hh"
 #include "modmath/primes.hh"
+#include "poly/simd/simd.hh"
 
 namespace ive {
 
 namespace {
 
-/** Largest ring degree the loader will accept (2^20 coefficients). */
-constexpr u64 kMaxRingN = u64{1} << 20;
+/** Largest ring degree the loader will accept (2^20 coefficients):
+ *  the degree the unreduced-NTT bounds are proved for. */
+constexpr u64 kMaxRingN = u64{1} << simd::kMaxLogDegree;
 /** RNS primes are ~28-bit; eight already exceed the u128 headroom. */
 constexpr u64 kMaxPrimes = 8;
 /** Gadget digit counts beyond this make no sense for u128 moduli. */

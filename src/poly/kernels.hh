@@ -13,10 +13,12 @@
  *
  * Two value-range families survive from the lazy-reduction redesign:
  *
- *  - Harvey-style lazy NTT butterflies: intermediate values live in
- *    [0, 4q) (forward) / [0, 2q) (inverse) and are canonicalized to
- *    [0, q) once, in a single final pass, instead of per butterfly.
- *    Dispatched via NttTable::forward/inverse, not this header.
+ *  - Lazy NTT butterflies: intermediate values live in Harvey's
+ *    [0, 4q) (forward) / [0, 2q) (inverse), or on the AVX-512 entries
+ *    below simd::fwdUnreducedBound / invUnreducedBound with no
+ *    per-stage subtract, and are canonicalized once at the end instead
+ *    of per butterfly. Dispatched via NttTable::forward/inverse, not
+ *    this header.
  *
  *  - Fused dyadic multiply-accumulate: when q < 2^32 each product of
  *    canonical residues fits in 64 bits, and a chain of L products
@@ -258,6 +260,26 @@ chainMacAcc(const Modulus &mod, u64 links, u64 n, u64 *dst,
             dst[i] = 0;
     }
     mulAccVec(dst, a, b, n, mod);
+}
+
+/**
+ * Two links of two chains that share their first operand: dst0 (+)=
+ * a o b0 and dst1 (+)= a o b1, reading a once on the fused path.
+ * Each destination follows chainMacAcc's rules with its own store
+ * flag; both chains have `links` links.
+ */
+inline void
+chainMacPair(const Modulus &mod, u64 links, u64 n, u64 *dst0, u64 *dst1,
+             const u64 *a, const u64 *b0, const u64 *b1, bool store0,
+             bool store1)
+{
+    if (fusedMacOk(mod, links)) {
+        simd::active().macChainPair(dst0, dst1, a, b0, b1, n, store0,
+                                    store1);
+        return;
+    }
+    chainMacAcc(mod, links, n, dst0, a, b0, store0);
+    chainMacAcc(mod, links, n, dst1, a, b1, store1);
 }
 
 /** Ends a chain: a fused chain pays its one reduction, in place. */

@@ -172,6 +172,23 @@ RnsPoly::automorphismMap(u64 n, u64 r, std::span<u64> map_out)
 }
 
 void
+RnsPoly::nttAutomorphismMap(u64 n, u64 r, std::span<u64> map_out)
+{
+    ive_assert(r % 2 == 1 && r < 2 * n);
+    ive_assert(map_out.size() >= n);
+    // Slot i holds a(psi^(2 brv(i) + 1)), and sigma_r(a) there is
+    // a(psi^(r (2 brv(i) + 1))): slot brv(j) with 2j + 1 = r (2 brv(i)
+    // + 1) mod 2n, i.e. j = r brv(i) + (r - 1) / 2 mod n. Each output
+    // slot i reads input slot brv(j); scatter form: map[brv(j)] = i.
+    const int bits = log2Exact(n);
+    for (u64 i = 0; i < n; ++i) {
+        const u64 b = bitReverse(static_cast<u32>(i), bits);
+        const u64 j = (r * b + (r - 1) / 2) & (n - 1);
+        map_out[bitReverse(static_cast<u32>(j), bits)] = i << 1;
+    }
+}
+
+void
 RnsPoly::automorphismInto(const Ring &ring, u64 r, RnsPoly &out,
                           std::span<u64> map_scratch) const
 {

@@ -108,6 +108,14 @@ class RnsPoly
     static void automorphismMap(u64 n, u64 r, std::span<u64> map_out);
 
     /**
+     * The same automorphism on NTT-form planes (NttTable::forward's
+     * bit-reversed slot order): a pure slot permutation with no sign
+     * flips, in the same (pos << 1) form, so applyCoeffMap applies it.
+     * sigma_r(a) then never leaves NTT form.
+     */
+    static void nttAutomorphismMap(u64 n, u64 r, std::span<u64> map_out);
+
+    /**
      * Applies a map built by automorphismMap (or the monomial variant)
      * prime-major: out is fully overwritten, domain set to Coeff.
      * `out` must not alias this.

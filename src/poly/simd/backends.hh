@@ -8,7 +8,8 @@
  * modulus classes outside their fast path (e.g. >= 2^32 primes in the
  * 32-bit product kernels) — keeping the "identical canonical output"
  * contract trivially true on every path. Not installed API: only the
- * simd TUs include this.
+ * simd TUs include this, and test_contracts, for the scalar entries
+ * that no longer sit in a table.
  */
 
 #ifndef IVE_POLY_SIMD_BACKENDS_HH
@@ -21,9 +22,9 @@ namespace ive::simd {
 
 // --- shared scalar butterfly blocks ----------------------------------
 //
-// The vector backends fall back to these for degrees too small for the
-// fused tail and for sub-vector-width stages; one definition keeps the
-// lazy-range invariants in one place across every TU.
+// The scalar and AVX2 transforms run their sub-vector-width stages on
+// these; one definition keeps the lazy-range invariants in one place
+// across every TU.
 
 /** One forward block: inputs < 4q, u drops to [0, 2q), the Shoup
  *  product lands in [0, 2q), so both outputs stay < 4q. */
@@ -96,6 +97,8 @@ void mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n,
                const Modulus &mod);
 void macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n,
                   bool store);
+void macChainPair(u64 *acc0, u64 *acc1, const u64 *a, const u64 *b0,
+                  const u64 *b1, u64 n, bool store0, bool store1);
 void macChainReduce(u64 *acc, u64 n, const Modulus &mod);
 void macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n);
 void decomposeDigits(const DigitPlan &plan, const u64 *src, u64 stride,

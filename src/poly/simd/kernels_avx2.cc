@@ -101,6 +101,8 @@ reduce64(__m256i x, __m256i m_hi, __m256i q)
     return csub(r, q);
 }
 
+/** Values in [0, 4q) down to [0, q): the forward transform's last
+ *  pass. */
 void
 canonicalizeVec(u64 *a, u64 n, u64 q)
 {
@@ -406,6 +408,37 @@ macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n, bool store)
 }
 
 void
+macChainPair(u64 *acc0, u64 *acc1, const u64 *a, const u64 *b0,
+             const u64 *b1, u64 n, bool store0, bool store1)
+{
+    // A store link adds its product to zero instead of the running sum.
+    const __m256i keep0 = _mm256_set1_epi64x(store0 ? 0 : -1);
+    const __m256i keep1 = _mm256_set1_epi64x(store1 ? 0 : -1);
+    u64 i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        const __m256i av =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i));
+        __m256i *o0 = reinterpret_cast<__m256i *>(acc0 + i);
+        __m256i *o1 = reinterpret_cast<__m256i *>(acc1 + i);
+        const __m256i p0 = _mm256_mul_epu32(
+            av,
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b0 + i)));
+        const __m256i p1 = _mm256_mul_epu32(
+            av,
+            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b1 + i)));
+        _mm256_storeu_si256(
+            o0, _mm256_add_epi64(
+                    _mm256_and_si256(_mm256_loadu_si256(o0), keep0), p0));
+        _mm256_storeu_si256(
+            o1, _mm256_add_epi64(
+                    _mm256_and_si256(_mm256_loadu_si256(o1), keep1), p1));
+    }
+    if (i < n)
+        scalar::macChainPair(acc0 + i, acc1 + i, a + i, b0 + i, b1 + i,
+                             n - i, store0, store1);
+}
+
+void
 macChainReduce(u64 *acc, u64 n, const Modulus &mod)
 {
     const u64 q = mod.value();
@@ -437,9 +470,9 @@ const Kernels kAvx2Kernels = {
     &negVec,
     &mulVec,
     &mulShoupVec,
-    &canonicalizeVec,
     &mulAccVec,
     &macChainLink,
+    &macChainPair,
     &macChainReduce,
     &macAccumulate,
     // The digit decomposer's vector path is AVX-512 only.

@@ -20,7 +20,7 @@
 #include <algorithm>
 
 #include "poly/kernels.hh"
-#include "poly/simd/avx512_tail.hh"
+#include "poly/simd/avx512_ntt.hh"
 #include "poly/simd/backends.hh"
 
 namespace ive::simd {
@@ -28,12 +28,8 @@ namespace {
 
 constexpr u64 kLanes = 8;
 
-/** a >= q ? a - q : a via unsigned min: a - q wraps huge when a < q. */
-inline __m512i
-csub(__m512i a, __m512i q)
-{
-    return _mm512_min_epu64(a, _mm512_sub_epi64(a, q));
-}
+using avx512ntt::bcast;
+using avx512ntt::csub;
 
 /** High 64 bits of the full 128-bit product, per lane. */
 inline __m512i
@@ -74,146 +70,44 @@ reduce64(__m512i x, __m512i m_hi, __m512i q)
     return csub(r, q);
 }
 
-void
-canonicalizeVec(u64 *a, u64 n, u64 q)
+/** The generic lazy Shoup product, as the NTT schedule injects it. */
+struct MulShoup64
 {
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i two_qv = _mm512_add_epi64(qv, qv);
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m512i v = _mm512_loadu_si512(a + i);
-        v = csub(csub(v, two_qv), qv);
-        _mm512_storeu_si512(a + i, v);
+    __m512i q;
+
+    __m512i
+    operator()(__m512i a, __m512i b, __m512i bs) const
+    {
+        return mulShoupLazyVec(a, b, bs, q);
     }
-    if (i < n)
-        scalar::canonicalizeVec(a + i, n - i, q);
-}
+};
 
 void
 nttForwardLazy(u64 *a, u64 n, const Modulus &mod, const NttTwiddles &tb)
 {
+    if (tb.lane == nullptr || !tb.unreduced64) {
+        // Below the register block's 64 coefficients, or a modulus
+        // too wide for the unreduced bound.
+        scalar::nttForwardLazy(a, n, mod, tb);
+        return;
+    }
     const u64 q = mod.value();
-    const u64 *tw = tb.tw;
-    const u64 *tws = tb.twShoup;
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i two_qv = _mm512_add_epi64(qv, qv);
-    u64 t = n;
-    u64 m = 1;
-    for (; m < n; m <<= 1) {
-        t >>= 1;
-        if (t < kLanes)
-            break; // Remaining stages run fused below.
-        for (u64 i = 0; i < m; ++i) {
-            __m512i wv =
-                _mm512_set1_epi64(static_cast<long long>(tw[m + i]));
-            __m512i wsv =
-                _mm512_set1_epi64(static_cast<long long>(tws[m + i]));
-            u64 *x = a + 2 * i * t;
-            u64 *y = x + t;
-            for (u64 j = 0; j < t; j += kLanes) {
-                __m512i xv = _mm512_loadu_si512(x + j);
-                __m512i yv = _mm512_loadu_si512(y + j);
-                __m512i u = csub(xv, two_qv);
-                __m512i v = mulShoupLazyVec(yv, wv, wsv, qv);
-                _mm512_storeu_si512(x + j, _mm512_add_epi64(u, v));
-                _mm512_storeu_si512(
-                    y + j,
-                    _mm512_sub_epi64(_mm512_add_epi64(u, two_qv), v));
-            }
-        }
-    }
-    if (m < n) {
-        if (n >= 16) {
-            avx512tail::fwdTailStages(
-                a, n, tw, tws,
-                [&](__m512i x, __m512i y, __m512i w, __m512i ws,
-                    __m512i &nx, __m512i &ny) {
-                    __m512i u = csub(x, two_qv);
-                    __m512i v = mulShoupLazyVec(y, w, ws, qv);
-                    nx = _mm512_add_epi64(u, v);
-                    ny = _mm512_sub_epi64(_mm512_add_epi64(u, two_qv),
-                                          v);
-                });
-        } else {
-            for (; m < n; m <<= 1, t >>= 1) {
-                for (u64 i = 0; i < m; ++i) {
-                    const u64 w = tw[m + i];
-                    const u64 ws = tws[m + i];
-                    u64 *x = a + 2 * i * t;
-                    u64 *y = x + t;
-                    scalarFwdButterflyBlock(x, y, t, w, ws, q);
-                }
-            }
-        }
-    }
-    canonicalizeVec(a, n, q);
+    avx512ntt::forward(a, n, q, tb.tw, tb.twShoup, tb.lane, tb.laneShoup,
+                       mod.shoupPrecompute(1), MulShoup64{bcast(q)});
 }
 
 void
 nttInverseLazy(u64 *a, u64 n, const Modulus &mod, const NttTwiddles &tb,
-               u64 n_inv, u64 n_inv_shoup, u64 /*n_inv_shoup52*/)
+               u64 n_inv, u64 n_inv_shoup, u64 n_inv_shoup52)
 {
+    if (tb.lane == nullptr || !tb.unreduced64) {
+        scalar::nttInverseLazy(a, n, mod, tb, n_inv, n_inv_shoup,
+                               n_inv_shoup52);
+        return;
+    }
     const u64 q = mod.value();
-    const u64 *tw = tb.tw;
-    const u64 *tws = tb.twShoup;
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i two_qv = _mm512_add_epi64(qv, qv);
-    u64 t = 1;
-    u64 m = n;
-    if (n >= 16) {
-        avx512tail::invTailStages(a, n, tw, tws,
-                      [&](__m512i x, __m512i y, __m512i w, __m512i ws,
-                          __m512i &nx, __m512i &ny) {
-                          __m512i s = _mm512_add_epi64(x, y);
-                          nx = csub(s, two_qv);
-                          __m512i d = _mm512_sub_epi64(
-                              _mm512_add_epi64(x, two_qv), y);
-                          ny = mulShoupLazyVec(d, w, ws, qv);
-                      });
-        t = 8;
-        m = n / 8;
-    }
-    for (; m > 1; m >>= 1) {
-        u64 j1 = 0;
-        u64 h = m >> 1;
-        for (u64 i = 0; i < h; ++i) {
-            const u64 w = tw[h + i];
-            const u64 ws = tws[h + i];
-            u64 *x = a + j1;
-            u64 *y = x + t;
-            if (t >= kLanes) {
-                __m512i wv = _mm512_set1_epi64(static_cast<long long>(w));
-                __m512i wsv =
-                    _mm512_set1_epi64(static_cast<long long>(ws));
-                for (u64 j = 0; j < t; j += kLanes) {
-                    __m512i u = _mm512_loadu_si512(x + j);
-                    __m512i v = _mm512_loadu_si512(y + j);
-                    __m512i s = _mm512_add_epi64(u, v);
-                    _mm512_storeu_si512(x + j, csub(s, two_qv));
-                    __m512i d = _mm512_sub_epi64(
-                        _mm512_add_epi64(u, two_qv), v);
-                    _mm512_storeu_si512(y + j,
-                                        mulShoupLazyVec(d, wv, wsv, qv));
-                }
-            } else {
-                scalarInvButterflyBlock(x, y, t, w, ws, q);
-            }
-            j1 += 2 * t;
-        }
-        t <<= 1;
-    }
-    __m512i niv = _mm512_set1_epi64(static_cast<long long>(n_inv));
-    __m512i nisv = _mm512_set1_epi64(static_cast<long long>(n_inv_shoup));
-    u64 j = 0;
-    for (; j + kLanes <= n; j += kLanes) {
-        __m512i v = _mm512_loadu_si512(a + j);
-        v = csub(mulShoupLazyVec(v, niv, nisv, qv), qv);
-        _mm512_storeu_si512(a + j, v);
-    }
-    for (; j < n; ++j) {
-        u64 v = kernels::mulShoupLazy(a[j], n_inv, n_inv_shoup, q);
-        a[j] = v >= q ? v - q : v;
-    }
+    avx512ntt::inverse(a, n, q, tb.tw, tb.twShoup, tb.lane, tb.laneShoup,
+                       n_inv, n_inv_shoup, MulShoup64{bcast(q)});
 }
 
 void
@@ -379,6 +273,30 @@ macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n, bool store)
     }
     if (i < n)
         scalar::macChainLink(acc + i, a + i, b + i, n - i, store);
+}
+
+void
+macChainPair(u64 *acc0, u64 *acc1, const u64 *a, const u64 *b0,
+             const u64 *b1, u64 n, bool store0, bool store1)
+{
+    // Masked loads of the running sums: a store link reads zero.
+    const __mmask8 keep0 = store0 ? 0 : 0xff;
+    const __mmask8 keep1 = store1 ? 0 : 0xff;
+    u64 i = 0;
+    for (; i + kLanes <= n; i += kLanes) {
+        const __m512i av = _mm512_loadu_si512(a + i);
+        const __m512i p0 = _mm512_mul_epu32(av, _mm512_loadu_si512(b0 + i));
+        const __m512i p1 = _mm512_mul_epu32(av, _mm512_loadu_si512(b1 + i));
+        _mm512_storeu_si512(
+            acc0 + i,
+            _mm512_add_epi64(_mm512_maskz_loadu_epi64(keep0, acc0 + i), p0));
+        _mm512_storeu_si512(
+            acc1 + i,
+            _mm512_add_epi64(_mm512_maskz_loadu_epi64(keep1, acc1 + i), p1));
+    }
+    if (i < n)
+        scalar::macChainPair(acc0 + i, acc1 + i, a + i, b0 + i, b1 + i,
+                             n - i, store0, store1);
 }
 
 void
@@ -552,9 +470,9 @@ const Kernels kAvx512Kernels = {
     &negVec,
     &mulVec,
     &mulShoupVec,
-    &canonicalizeVec,
     &mulAccVec,
     &macChainLink,
+    &macChainPair,
     &macChainReduce,
     &macAccumulate,
     &decomposeDigits,

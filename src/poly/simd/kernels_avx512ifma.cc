@@ -9,200 +9,89 @@
  * the generic 64-bit split in kernels_avx512.cc:
  *
  *   approx = hi52(a * bs52)            with bs52 = floor(b * 2^52 / q)
- *   r      = (lo52(a*b) - lo52(approx*q)) mod 2^52
+ *   r      = (lo52(a*b) + lo52(approx*(2^52 - q))) mod 2^52
  *
- * For a < 4q and q < 2^50 the true r = a*b - approx*q lies in [0, 2q)
- * (error term a*(b*2^52 mod q)/2^52 < q), and since r < 2^52 the mod-
- * 2^52 subtraction recovers it exactly. Lazy intermediates can differ
+ * For any a < 2^52 and q < 2^50 the true r = a*b - approx*q lies in
+ * [0, 2q) (error term a*(b*2^52 mod q)/2^52 < q), and since r < 2^52
+ * the mod-2^52 subtraction recovers it exactly. Lazy intermediates can differ
  * from the 2^64-Shoup backends by multiples of q, but the final
  * canonicalization erases that: outputs stay bit-identical.
  *
- * The small-t stages run the shared fused tail (avx512_tail.hh) with
- * the 52-bit butterfly injected. NttTable only precomputes x2^52
- * companions below the 2^50 bound, so a null NttTwiddles::twShoup52
- * (bigger test primes) routes back to the generic avx512 butterflies.
+ * Both transforms run the shared AVX-512 schedule (avx512_ntt.hh) with
+ * this product injected wherever NttTable found (2 log n + 1) q
+ * (forward) or n q (inverse) below 2^52. Any other (q, n), including
+ * null lane companions (q >= 2^50, where NttTable precomputes no
+ * x2^52 companions, or n < simd::kNttBlock), routes back to the
+ * generic avx512 entry.
  * Compiled with -mavx512ifma in its own TU; simd.cc patches these into
  * the avx512 table only when cpuid reports IFMA.
  */
 
 #include <immintrin.h>
 
-#include "poly/kernels.hh"
-#include "poly/simd/avx512_tail.hh"
+#include "poly/simd/avx512_ntt.hh"
 #include "poly/simd/backends.hh"
 
 namespace ive::simd::ifma {
 namespace {
 
-constexpr u64 kLanes = 8;
-
-inline __m512i
-csub(__m512i a, __m512i q)
+/**
+ * Lazy 52-bit Shoup product in [0, 2q) for any a < 2^52, q < 2^50.
+ * The subtraction rides the second low multiply: lo52(approx *
+ * (2^52 - q)) is -approx * q mod 2^52, and the accumulated sum stays
+ * below 2^53, so masking it to 52 bits leaves r.
+ */
+struct MulShoup52
 {
-    return _mm512_min_epu64(a, _mm512_sub_epi64(a, q));
-}
+    __m512i negQ;
+    __m512i zero = _mm512_setzero_si512();
+    __m512i mask52 =
+        _mm512_set1_epi64(static_cast<long long>((u64{1} << 52) - 1));
 
-/** Lazy 52-bit Shoup product in [0, 2q); a < 4q, q < 2^50. */
-inline __m512i
-mulShoupLazy52(__m512i a, __m512i b, __m512i bs52, __m512i q,
-               __m512i zero, __m512i mask52)
-{
-    __m512i approx = _mm512_madd52hi_epu64(zero, a, bs52);
-    __m512i t1 = _mm512_madd52lo_epu64(zero, a, b);
-    __m512i t2 = _mm512_madd52lo_epu64(zero, approx, q);
-    return _mm512_and_si512(_mm512_sub_epi64(t1, t2), mask52);
-}
+    explicit MulShoup52(u64 modulus)
+        : negQ(_mm512_set1_epi64(
+              static_cast<long long>((u64{1} << 52) - modulus)))
+    {
+    }
+
+    __m512i
+    operator()(__m512i a, __m512i b, __m512i bs52) const
+    {
+        __m512i approx = _mm512_madd52hi_epu64(zero, a, bs52);
+        __m512i t = _mm512_madd52lo_epu64(zero, a, b);
+        t = _mm512_madd52lo_epu64(t, approx, negQ);
+        return _mm512_and_si512(t, mask52);
+    }
+};
 
 } // namespace
 
 void
 nttForwardLazy(u64 *a, u64 n, const Modulus &mod, const NttTwiddles &tb)
 {
-    if (tb.twShoup52 == nullptr) {
-        // Modulus outside the 52-bit datapath: generic avx512 path.
+    if (tb.laneShoup52 == nullptr || !tb.unreduced52) {
+        // Outside the 52-bit datapath or its unreduced bound, or
+        // below the block size.
         kAvx512Kernels.nttForwardLazy(a, n, mod, tb);
         return;
     }
     const u64 q = mod.value();
-    const u64 *tw = tb.tw;
-    const u64 *tws = tb.twShoup;
-    const u64 *tws52 = tb.twShoup52;
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i two_qv = _mm512_add_epi64(qv, qv);
-    __m512i zero = _mm512_setzero_si512();
-    __m512i mask52 =
-        _mm512_set1_epi64(static_cast<long long>((u64{1} << 52) - 1));
-    u64 t = n;
-    u64 m = 1;
-    for (; m < n; m <<= 1) {
-        t >>= 1;
-        if (t < kLanes)
-            break; // Remaining stages run fused below.
-        for (u64 i = 0; i < m; ++i) {
-            __m512i wv =
-                _mm512_set1_epi64(static_cast<long long>(tw[m + i]));
-            __m512i ws52v =
-                _mm512_set1_epi64(static_cast<long long>(tws52[m + i]));
-            u64 *x = a + 2 * i * t;
-            u64 *y = x + t;
-            for (u64 j = 0; j < t; j += kLanes) {
-                __m512i xv = _mm512_loadu_si512(x + j);
-                __m512i yv = _mm512_loadu_si512(y + j);
-                __m512i u = csub(xv, two_qv);
-                __m512i v =
-                    mulShoupLazy52(yv, wv, ws52v, qv, zero, mask52);
-                _mm512_storeu_si512(x + j, _mm512_add_epi64(u, v));
-                _mm512_storeu_si512(
-                    y + j,
-                    _mm512_sub_epi64(_mm512_add_epi64(u, two_qv), v));
-            }
-        }
-    }
-    if (m < n) {
-        if (n >= 16) {
-            avx512tail::fwdTailStages(
-                a, n, tw, tws52,
-                [&](__m512i x, __m512i y, __m512i w, __m512i ws52,
-                    __m512i &nx, __m512i &ny) {
-                    __m512i u = csub(x, two_qv);
-                    __m512i v =
-                        mulShoupLazy52(y, w, ws52, qv, zero, mask52);
-                    nx = _mm512_add_epi64(u, v);
-                    ny = _mm512_sub_epi64(_mm512_add_epi64(u, two_qv),
-                                          v);
-                });
-        } else {
-            for (; m < n; m <<= 1, t >>= 1) {
-                for (u64 i = 0; i < m; ++i) {
-                    const u64 w = tw[m + i];
-                    const u64 ws = tws[m + i];
-                    u64 *x = a + 2 * i * t;
-                    u64 *y = x + t;
-                    scalarFwdButterflyBlock(x, y, t, w, ws, q);
-                }
-            }
-        }
-    }
-    kAvx512Kernels.canonicalizeVec(a, n, q);
+    avx512ntt::forward(a, n, q, tb.tw, tb.twShoup52, tb.lane,
+                       tb.laneShoup52, (u64{1} << 52) / q, MulShoup52(q));
 }
 
 void
 nttInverseLazy(u64 *a, u64 n, const Modulus &mod, const NttTwiddles &tb,
                u64 n_inv, u64 n_inv_shoup, u64 n_inv_shoup52)
 {
-    if (tb.twShoup52 == nullptr) {
+    if (tb.laneShoup52 == nullptr || !tb.unreduced52) {
         kAvx512Kernels.nttInverseLazy(a, n, mod, tb, n_inv, n_inv_shoup,
                                       n_inv_shoup52);
         return;
     }
     const u64 q = mod.value();
-    const u64 *tw = tb.tw;
-    const u64 *tws = tb.twShoup;
-    const u64 *tws52 = tb.twShoup52;
-    __m512i qv = _mm512_set1_epi64(static_cast<long long>(q));
-    __m512i two_qv = _mm512_add_epi64(qv, qv);
-    __m512i zero = _mm512_setzero_si512();
-    __m512i mask52 =
-        _mm512_set1_epi64(static_cast<long long>((u64{1} << 52) - 1));
-    u64 t = 1;
-    u64 m = n;
-    if (n >= 16) {
-        avx512tail::invTailStages(
-            a, n, tw, tws52,
-            [&](__m512i x, __m512i y, __m512i w, __m512i ws52,
-                __m512i &nx, __m512i &ny) {
-                __m512i s = _mm512_add_epi64(x, y);
-                nx = csub(s, two_qv);
-                __m512i d =
-                    _mm512_sub_epi64(_mm512_add_epi64(x, two_qv), y);
-                ny = mulShoupLazy52(d, w, ws52, qv, zero, mask52);
-            });
-        t = 8;
-        m = n / 8;
-    }
-    for (; m > 1; m >>= 1) {
-        u64 j1 = 0;
-        u64 h = m >> 1;
-        for (u64 i = 0; i < h; ++i) {
-            const u64 w = tw[h + i];
-            u64 *x = a + j1;
-            u64 *y = x + t;
-            if (t >= kLanes) {
-                __m512i wv = _mm512_set1_epi64(static_cast<long long>(w));
-                __m512i ws52v = _mm512_set1_epi64(
-                    static_cast<long long>(tws52[h + i]));
-                for (u64 j = 0; j < t; j += kLanes) {
-                    __m512i u = _mm512_loadu_si512(x + j);
-                    __m512i v = _mm512_loadu_si512(y + j);
-                    __m512i s = _mm512_add_epi64(u, v);
-                    _mm512_storeu_si512(x + j, csub(s, two_qv));
-                    __m512i d = _mm512_sub_epi64(
-                        _mm512_add_epi64(u, two_qv), v);
-                    _mm512_storeu_si512(
-                        y + j,
-                        mulShoupLazy52(d, wv, ws52v, qv, zero, mask52));
-                }
-            } else {
-                const u64 ws = tws[h + i];
-                scalarInvButterflyBlock(x, y, t, w, ws, q);
-            }
-            j1 += 2 * t;
-        }
-        t <<= 1;
-    }
-    __m512i niv = _mm512_set1_epi64(static_cast<long long>(n_inv));
-    __m512i nis52v =
-        _mm512_set1_epi64(static_cast<long long>(n_inv_shoup52));
-    u64 j = 0;
-    for (; j + kLanes <= n; j += kLanes) {
-        __m512i v = _mm512_loadu_si512(a + j);
-        v = csub(mulShoupLazy52(v, niv, nis52v, qv, zero, mask52), qv);
-        _mm512_storeu_si512(a + j, v);
-    }
-    for (; j < n; ++j) {
-        u64 v = kernels::mulShoupLazy(a[j], n_inv, n_inv_shoup, q);
-        a[j] = v >= q ? v - q : v;
-    }
+    avx512ntt::inverse(a, n, q, tb.tw, tb.twShoup52, tb.lane,
+                       tb.laneShoup52, n_inv, n_inv_shoup52, MulShoup52(q));
 }
 
 } // namespace ive::simd::ifma

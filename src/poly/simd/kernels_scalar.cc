@@ -219,6 +219,14 @@ macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n, bool store)
 }
 
 void
+macChainPair(u64 *acc0, u64 *acc1, const u64 *a, const u64 *b0,
+             const u64 *b1, u64 n, bool store0, bool store1)
+{
+    macChainLink(acc0, a, b0, n, store0);
+    macChainLink(acc1, a, b1, n, store1);
+}
+
+void
 macChainReduce(u64 *acc, u64 n, const Modulus &mod)
 {
     for (u64 i = 0; i < n; ++i)
@@ -294,9 +302,9 @@ const Kernels kScalarKernels = {
     &scalar::negVec,
     &scalar::mulVec,
     &scalar::mulShoupVec,
-    &scalar::canonicalizeVec,
     &scalar::mulAccVec,
     &scalar::macChainLink,
+    &scalar::macChainPair,
     &scalar::macChainReduce,
     &scalar::macAccumulate,
     &scalar::decomposeDigits,

@@ -157,6 +157,16 @@ backend(Isa isa)
     return resolve(isa);
 }
 
+const Kernels *
+genericAvx512()
+{
+#ifdef IVE_SIMD_HAVE_AVX512
+    if (cpuHasAvx512())
+        return &kAvx512Kernels;
+#endif
+    return nullptr;
+}
+
 bool
 ifmaButterfliesAvailable()
 {

@@ -14,7 +14,10 @@
  *              when the CPU also has AVX-512 IFMA and the modulus fits
  *              the 52-bit datapath (q < 2^50), the NTT butterflies run
  *              Shoup multiplies on the vpmadd52 52-bit multipliers
- *              using the x2^52 companion twiddles NttTable precomputes
+ *              using the x2^52 companion twiddles NttTable precomputes.
+ *              Both AVX-512 transforms share one schedule
+ *              (avx512_ntt.hh): radix-4 passes over the wide stages and
+ *              a 64-coefficient register block for the last six
  *
  * Every backend computes bit-identical canonical outputs for the same
  * inputs (lazy intermediates may differ by multiples of q; the final
@@ -37,6 +40,7 @@
 
 #include "common/types.hh"
 #include "modmath/modulus.hh"
+#include "modmath/primes.hh"
 
 namespace ive::simd {
 
@@ -67,10 +71,48 @@ const char *isaName(Isa isa);
 inline constexpr u64 kFusedMacModulusBound = u64{1} << 32;
 
 /**
- * IFMA 52-bit datapath bound: the lazy butterflies feed operands up to
- * 4q into vpmadd52, so 4q must fit 52 bits.
+ * IFMA 52-bit datapath bound on the modulus: the 52-bit Shoup product
+ * is proved for q below it, and NttTable builds x2^52 companion
+ * twiddles only there. Whether the IFMA transforms run is then the
+ * per-(q, n) verdict of the unreduced bounds below.
  */
 inline constexpr u64 kIfmaModulusBound = u64{1} << 50;
+
+/**
+ * Largest ring degree anything in the stack admits (the wire decoder's
+ * cap), as log2: the unreduced-NTT bounds below are proved there.
+ */
+inline constexpr int kMaxLogDegree = 20;
+
+/**
+ * Unreduced forward NTT. A Cooley-Tukey stage that skips the
+ * conditional subtract on x adds the lazy Shoup product (< 2q) to it,
+ * so starting from canonical input every value stays below
+ * (2 log n + 1) q after log n stages. The AVX-512 entries run no
+ * per-stage subtract, so they run only where this bound fits their
+ * Shoup operand: 2^52 on the IFMA datapath, 2^64 for the generic
+ * product. Elsewhere the IFMA entry hands over to the generic one and
+ * the generic one to the scalar transform.
+ */
+constexpr u128
+fwdUnreducedBound(u64 q, int log_n)
+{
+    return static_cast<u128>(2 * log_n + 1) * q;
+}
+
+/**
+ * Unreduced inverse NTT. A Gentleman-Sande stage that skips the
+ * subtract on x + y doubles its bound, so after log n stages values
+ * stay below n q (the y side is a lazy Shoup product, below 2q).
+ */
+constexpr u128
+invUnreducedBound(u64 q, int log_n)
+{
+    return static_cast<u128>(q) << log_n;
+}
+
+/** Shoup-operand limit of the IFMA butterflies (vpmadd52 inputs). */
+inline constexpr u128 kIfmaOperandBound = u128{1} << 52;
 
 /**
  * Largest gadget base the digit decomposer's vector Horner pass
@@ -87,27 +129,55 @@ static_assert(static_cast<u128>(kFusedMacModulusBound - 1) *
                       (kFusedMacModulusBound - 1) <=
                   ~u64{0},
               "fused-MAC products must fit 64 bits");
-// The 52-bit lazy Shoup proof needs its 4q operands inside the
-// vpmadd52 datapath.
+// The 52-bit lazy Shoup proof needs 4q inside the vpmadd52 datapath.
 static_assert(static_cast<u128>(4) * (kIfmaModulusBound - 1) <
                   (u128{1} << 52),
-              "IFMA butterflies need 4q inside the 52-bit datapath");
+              "IFMA Shoup products need 4q inside the 52-bit datapath");
+// The shipped primes take both unreduced transforms on the IFMA
+// datapath at every admitted degree (NttTable still checks each
+// (q, n) at run time, for test primes).
+static_assert(fwdUnreducedBound(kIvePrimes.back(), kMaxLogDegree) <
+                  kIfmaOperandBound,
+              "unreduced forward NTT must fit the 52-bit datapath");
+static_assert(invUnreducedBound(kIvePrimes.back(), kMaxLogDegree) <
+                  kIfmaOperandBound,
+              "unreduced inverse NTT must fit the 52-bit datapath");
 // One Horner step: limb < z, q < 2^32, carry < 2q, so
 // limb * q + carry < (z + 2) * 2^32 must stay below 2^63.
 static_assert((((u128{1} << kDigitMaxLogZ) + 2) << 32) < (u128{1} << 63),
               "digit Horner steps must fit 63 bits");
+
+/** Smallest degree the AVX-512 register-blocked schedule runs. */
+inline constexpr u64 kNttBlock = 64;
+
+/** Lane-table words per block: t = 4 takes one vector, t = 2 two,
+ *  t = 1 four. */
+inline constexpr u64 kNttLaneWords = 56;
 
 /**
  * Twiddle bundle a transform hands its backend: bit-reversed twiddles
  * with their x2^64 Shoup companions, plus the x2^52 companions when
  * the modulus fits the IFMA datapath (null otherwise — backends that
  * cannot use them ignore the field).
+ *
+ * The lane tables feed the register block's three smallest stages
+ * (t = 4, 2, 1) after its 8 x 8 transpose: for each 64-coefficient
+ * block c, 56 words in the order the lanes consume them (t = 4: 8,
+ * t = 2: 2 x 8, t = 1: 4 x 8; see laneOrder in ntt.cc). They are
+ * null when n < kNttBlock or no AVX-512 table can run. NttTable also
+ * decides per (q, n) whether each AVX-512 entry may run its schedule
+ * (fwd/invUnreducedBound against its datapath).
  */
 struct NttTwiddles
 {
     const u64 *tw = nullptr;
     const u64 *twShoup = nullptr;
     const u64 *twShoup52 = nullptr;
+    const u64 *lane = nullptr;
+    const u64 *laneShoup = nullptr;
+    const u64 *laneShoup52 = nullptr;
+    bool unreduced52 = false; ///< Unreduced bound below 2^52.
+    bool unreduced64 = false; ///< Unreduced bound below 2^64.
 };
 
 /**
@@ -151,7 +221,7 @@ struct Kernels
     Isa isa = Isa::Scalar;
     const char *name = "scalar";
 
-    /** Forward Harvey lazy CT butterflies + final canonical pass. */
+    /** Forward lazy CT butterflies; canonical output. */
     void (*nttForwardLazy)(u64 *a, u64 n, const Modulus &mod,
                            const NttTwiddles &t);
     /** Inverse lazy GS butterflies, n^-1 fold, canonical output. */
@@ -167,8 +237,6 @@ struct Kernels
     /** dst[i] = dst[i] * b[i] mod q with per-element x2^64 companions. */
     void (*mulShoupVec)(u64 *dst, const u64 *b, const u64 *b_shoup,
                         u64 n, u64 q);
-    /** Canonicalizes values in [0, 4q) down to [0, q). */
-    void (*canonicalizeVec)(u64 *a, u64 n, u64 q);
     /** Strict dst[i] += a[i] * b[i] mod q. */
     void (*mulAccVec)(u64 *dst, const u64 *a, const u64 *b, u64 n,
                       const Modulus &mod);
@@ -181,6 +249,14 @@ struct Kernels
      */
     void (*macChainLink)(u64 *acc, const u64 *a, const u64 *b, u64 n,
                          bool store);
+    /**
+     * Two links that share their first operand: acc0 (+)= a o b0 and
+     * acc1 (+)= a o b1, with a read once. Same contract as
+     * macChainLink for each output plane.
+     */
+    void (*macChainPair)(u64 *acc0, u64 *acc1, const u64 *a,
+                         const u64 *b0, const u64 *b1, u64 n,
+                         bool store0, bool store1);
     /** acc[i] = acc[i] mod q for any u64 acc[i]: the chain's one
      *  Barrett reduction. */
     void (*macChainReduce)(u64 *acc, u64 n, const Modulus &mod);
@@ -222,6 +298,14 @@ struct Kernels
  * the CPU supports AVX-512 IFMA.
  */
 const Kernels *backend(Isa isa);
+
+/**
+ * The avx512 table without the IFMA butterflies, or null when AVX-512
+ * cannot run here. On IFMA CPUs backend(Isa::Avx512) hands out the
+ * patched table, so differential tests reach the generic 64-bit
+ * butterflies through this.
+ */
+const Kernels *genericAvx512();
 
 /** Best ISA this CPU can run among the compiled-in backends. */
 Isa bestSupportedIsa();

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "bfv/context.hh"
 #include "common/thread_pool.hh"
 #include "fixtures.hh"
 #include "modmath/primes.hh"
@@ -191,6 +192,44 @@ TEST(ParallelServer, StressConcurrentHostsHitSegmentedMerge)
 
     for (size_t t = 0; t < results.size(); ++t)
         EXPECT_TRUE(ctEqual(results[t], base)) << "host " << t;
+}
+
+TEST(ParallelServer, AutomorphismMapsBuildOnceUnderConcurrentFirstUse)
+{
+    // HeContext fills its map table on first use; Subs calls it from
+    // every pool worker. Host threads asking for the same fresh
+    // rotations at once must each get the one shared entry per
+    // rotation, holding what RnsPoly's map functions produce (the TSan
+    // stage runs this binary).
+    HeContextConfig cfg;
+    cfg.n = 256;
+    HeContext ctx(cfg);
+    const u64 n = ctx.n();
+    std::vector<u64> rotations;
+    for (u64 t = 1; t < n; t <<= 1)
+        rotations.push_back(n / t + 1);
+    rotations.push_back(2 * n - 1);
+
+    std::vector<std::vector<const AutomorphismMaps *>> seen(4);
+    std::vector<std::thread> hosts;
+    for (size_t t = 0; t < seen.size(); ++t) {
+        hosts.emplace_back([&, t] {
+            for (u64 r : rotations)
+                seen[t].push_back(&ctx.automorphismMaps(r));
+        });
+    }
+    for (auto &h : hosts)
+        h.join();
+
+    std::vector<u64> coeff(n), ntt(n);
+    for (size_t i = 0; i < rotations.size(); ++i) {
+        RnsPoly::automorphismMap(n, rotations[i], coeff);
+        RnsPoly::nttAutomorphismMap(n, rotations[i], ntt);
+        for (size_t t = 1; t < seen.size(); ++t)
+            EXPECT_EQ(seen[t][i], seen[0][i]) << "r=" << rotations[i];
+        EXPECT_EQ(seen[0][i]->coeff, coeff) << "r=" << rotations[i];
+        EXPECT_EQ(seen[0][i]->ntt, ntt) << "r=" << rotations[i];
+    }
 }
 
 TEST(ParallelServer, MultiPlaneResponsesIdenticalAcrossThreadCounts)

@@ -13,7 +13,12 @@
  * The avx512 table is tested as resolved for this CPU: on IFMA parts
  * that covers the 52-bit vpmadd52 butterflies (plus their null-
  * twShoup52 fallback via the >= 2^50 primes); elsewhere the generic
- * 64-bit split path. End-to-end byte-identity per backend is pinned by
+ * 64-bit split path. On IFMA parts the unpatched table joins the sweep
+ * too (simd::genericAvx512), so both butterfly families run here. The
+ * transforms are also swept across the register block's degree
+ * classes (below 64, one radix-2 pass, radix-4 passes) and at the
+ * primes on either side of each unreduced-path bound.
+ * End-to-end byte-identity per backend is pinned by
  * scripts/ci.sh, which runs the full tier-1 suite (including
  * test_golden) once under IVE_FORCE_ISA for every backend that probes
  * runnable on the CI machine, plus once on the default dispatch.
@@ -42,7 +47,11 @@ scalarK()
     return *simd::backend(simd::Isa::Scalar);
 }
 
-/** Every backend this binary + CPU can run (scalar always). */
+/**
+ * Every backend this binary + CPU can run (scalar always), plus the
+ * generic avx512 table where IFMA butterflies replace its transforms
+ * in backend(Isa::Avx512).
+ */
 std::vector<const simd::Kernels *>
 allBackends()
 {
@@ -52,6 +61,11 @@ allBackends()
         if (const simd::Kernels *k = simd::backend(isa))
             out.push_back(k);
     }
+    const simd::Kernels *generic = simd::genericAvx512();
+    if (generic != nullptr &&
+        generic->nttForwardLazy !=
+            simd::backend(simd::Isa::Avx512)->nttForwardLazy)
+        out.push_back(generic);
     return out;
 }
 
@@ -118,7 +132,11 @@ TEST(Simd, DispatchResolvesToRunnableBackend)
 TEST(Simd, NttMatchesStrictAcrossBackendsDegreesAndPrimes)
 {
     Rng rng(2026);
-    for (u64 n : {u64{8}, u64{16}, u64{64}, u64{256}, u64{4096}}) {
+    // Below 64 the vector entries fall back to scalar; 128 and 2048
+    // add one radix-2 pass before the register block, 256 and 4096 run
+    // radix-4 passes only.
+    for (u64 n : {u64{8}, u64{16}, u64{32}, u64{64}, u64{128}, u64{256},
+                  u64{2048}, u64{4096}}) {
         for (u64 q : sweepPrimes(n)) {
             NttTable table(q, n);
             for (auto &input : cornerInputs(n, q, rng)) {
@@ -167,11 +185,6 @@ TEST(Simd, VectorOpsMatchScalarWithUnalignedTails)
             for (u64 i = 0; i < n + 1; ++i)
                 bs[i] = mod.shoupPrecompute(b0[i]);
             std::vector<u64> d0 = randomCanonical(n + 1, q, rng);
-            // Canonicalize input: anything in [0, 4q).
-            std::vector<u64> c0(n + 1);
-            for (u64 i = 0; i < n + 1; ++i)
-                c0[i] = rng.uniform(4 * q);
-            c0[0] = 4 * q - 1;
 
             for (const simd::Kernels *b : allBackends()) {
                 auto diff = [&](auto &&op) {
@@ -201,13 +214,6 @@ TEST(Simd, VectorOpsMatchScalarWithUnalignedTails)
                     k.mulAccVec(p, b0.data() + 1, d0.data() + 1, n,
                                 mod);
                 });
-                // canonicalizeVec reads the wider [0, 4q) domain.
-                std::vector<u64> got = c0, want = c0;
-                b->canonicalizeVec(got.data() + 1, n, q);
-                scalarK().canonicalizeVec(want.data() + 1, n,
-                                                     q);
-                ASSERT_EQ(got, want)
-                    << b->name << " canonicalize n=" << n << " q=" << q;
             }
         }
     }
@@ -471,7 +477,7 @@ TEST(Simd, LazyRangeCornersThroughFullTransforms)
     // extremal butterflies (all q-1 maximizes every u and Shoup
     // product; delta vectors exercise the zero paths).
     Rng rng(23);
-    for (u64 n : {u64{16}, u64{128}}) {
+    for (u64 n : {u64{16}, u64{64}, u64{128}, u64{2048}}) {
         for (u64 q : sweepPrimes(n)) {
             NttTable table(q, n);
             std::vector<std::vector<u64>> cases;
@@ -482,13 +488,242 @@ TEST(Simd, LazyRangeCornersThroughFullTransforms)
             for (auto &input : cases) {
                 std::vector<u64> want = input;
                 table.forwardStrict(want);
+                std::vector<u64> want_inv = input;
+                table.inverseStrict(want_inv);
                 for (const simd::Kernels *b : allBackends()) {
                     std::vector<u64> got = input;
                     b->nttForwardLazy(got.data(), n, table.modulus(),
                                       table.forwardTwiddles());
                     ASSERT_EQ(got, want)
                         << b->name << " n=" << n << " q=" << q;
+                    // The inverse's unreduced sums peak on the same
+                    // inputs.
+                    got = input;
+                    b->nttInverseLazy(got.data(), n, table.modulus(),
+                                      table.inverseTwiddles(),
+                                      table.nInv(), table.nInvShoup(),
+                                      table.nInvShoup52());
+                    ASSERT_EQ(got, want_inv)
+                        << b->name << " inv n=" << n << " q=" << q;
                 }
+            }
+        }
+    }
+}
+
+namespace {
+
+/** Largest q = 1 mod 2n, prime, with q < limit. */
+u64
+nttPrimeBelow(u128 limit, u64 n)
+{
+    u128 q = (limit - 2) / (2 * n) * (2 * n) + 1;
+    while (!isPrime(static_cast<u64>(q)))
+        q -= 2 * n;
+    return static_cast<u64>(q);
+}
+
+/** Smallest q = 1 mod 2n, prime, with q >= limit. */
+u64
+nttPrimeAtOrAbove(u128 limit, u64 n)
+{
+    u128 q = (limit + 2 * n - 2) / (2 * n) * (2 * n) + 1;
+    while (!isPrime(static_cast<u64>(q)))
+        q += 2 * n;
+    return static_cast<u64>(q);
+}
+
+} // namespace
+
+TEST(Simd, UnreducedPathBoundCornersAndSmallDegreeFallback)
+{
+    // The largest degree the paper primes admit (2n | q - 1 with
+    // q - 1 = 2^27 + 2^15 gives n <= 2^14).
+    const u64 n = u64{1} << 14;
+    const int log_n = 14;
+    const u128 limit52 = simd::kIfmaOperandBound;
+    const u128 limit64 = u128{1} << 64;
+    struct Corner
+    {
+        u64 q;
+        bool fwd; ///< Forward bound (else inverse).
+        bool is52; ///< 52-bit limit (else 64).
+        bool below; ///< The entry may run its unreduced schedule
+                    ///< (else it hands over to the next table down).
+    };
+    std::vector<Corner> corners;
+    for (bool fwd : {true, false}) {
+        for (bool is52 : {true, false}) {
+            const u128 limit = is52 ? limit52 : limit64;
+            // Smallest q whose bound reaches the limit.
+            const u128 edge = fwd ? (limit + 2 * log_n) / (2 * log_n + 1)
+                                  : limit >> log_n;
+            corners.push_back({nttPrimeBelow(edge, n), fwd, is52, true});
+            if (edge < kMaxModulus) {
+                corners.push_back(
+                    {nttPrimeAtOrAbove(edge, n), fwd, is52, false});
+            }
+        }
+    }
+    Rng rng(41);
+    for (const Corner &c : corners) {
+        NttTable table(c.q, n);
+        const simd::NttTwiddles t =
+            c.fwd ? table.forwardTwiddles() : table.inverseTwiddles();
+        ASSERT_EQ(c.is52 ? t.unreduced52 : t.unreduced64, c.below)
+            << "q=" << c.q << " fwd=" << c.fwd << " 52=" << c.is52;
+        for (auto &input : cornerInputs(n, c.q, rng)) {
+            std::vector<u64> want = input;
+            if (c.fwd)
+                table.forwardStrict(want);
+            else
+                table.inverseStrict(want);
+            for (const simd::Kernels *b : allBackends()) {
+                std::vector<u64> got = input;
+                if (c.fwd) {
+                    b->nttForwardLazy(got.data(), n, table.modulus(), t);
+                } else {
+                    b->nttInverseLazy(got.data(), n, table.modulus(), t,
+                                      table.nInv(), table.nInvShoup(),
+                                      table.nInvShoup52());
+                }
+                ASSERT_EQ(got, want) << b->name << " q=" << c.q
+                                     << " fwd=" << c.fwd;
+            }
+        }
+    }
+
+    // Below the register block there are no lane tables and every
+    // vector entry runs the scalar transforms.
+    for (u64 small : {u64{8}, u64{16}, u64{32}}) {
+        NttTable table(kIvePrimes[0], small);
+        EXPECT_EQ(table.forwardTwiddles().lane, nullptr);
+        EXPECT_EQ(table.inverseTwiddles().lane, nullptr);
+    }
+    NttTable blocked(kIvePrimes[0], simd::kNttBlock);
+    EXPECT_EQ(blocked.forwardTwiddles().lane != nullptr,
+              simd::backend(simd::Isa::Avx512) != nullptr);
+}
+
+TEST(Simd, NttDomainAutomorphismMatchesTransformedRotation)
+{
+    // sigma_r applied to NTT-form planes through applyCoeffMap and
+    // RnsPoly::nttAutomorphismMap equals NTT(sigma_r(a)) computed in
+    // coefficient form, for every expansion rotation n / 2^t + 1 and
+    // r = 2n - 1, on every backend.
+    Rng rng(43);
+    for (u64 n : {u64{256}, u64{1024}, u64{4096}}) {
+        std::vector<u64> rotations;
+        for (u64 t = 1; t <= n; t <<= 1) {
+            if (n / t + 1 < 2 * n && (n / t + 1) % 2 == 1)
+                rotations.push_back(n / t + 1);
+        }
+        rotations.push_back(2 * n - 1);
+        std::vector<u64> coeff_map(n), ntt_map(n);
+        for (u64 q : kIvePrimes) {
+            NttTable table(q, n);
+            std::vector<std::vector<u64>> inputs;
+            inputs.push_back(randomCanonical(n, q, rng));
+            inputs.emplace_back(n, q - 1);
+            for (u64 r : rotations) {
+                RnsPoly::automorphismMap(n, r, coeff_map);
+                RnsPoly::nttAutomorphismMap(n, r, ntt_map);
+                for (const std::vector<u64> &a : inputs) {
+                    std::vector<u64> want(n);
+                    scalarK().applyCoeffMap(want.data(), a.data(),
+                                            coeff_map.data(), n, q);
+                    table.forwardStrict(want);
+                    std::vector<u64> a_ntt = a;
+                    table.forwardStrict(a_ntt);
+                    for (const simd::Kernels *b : allBackends()) {
+                        std::vector<u64> got(n, ~u64{0});
+                        b->applyCoeffMap(got.data(), a_ntt.data(),
+                                         ntt_map.data(), n, q);
+                        ASSERT_EQ(got, want) << b->name << " n=" << n
+                                             << " q=" << q << " r=" << r;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(Simd, MacChainPairEqualsTwoLinks)
+{
+    Rng rng(47);
+    // The kernel entry, every backend, every store-flag combination,
+    // against two scalar links (inputs below 2^32).
+    for (u64 n : {u64{3}, u64{8}, u64{11}, u64{512}}) {
+        const u64 q = kIvePrimes.back();
+        std::vector<u64> a = randomCanonical(n, q, rng);
+        std::vector<u64> b0 = randomCanonical(n, q, rng);
+        std::vector<u64> b1 = randomCanonical(n, q, rng);
+        a[0] = b0[0] = b1[0] = q - 1; // maximal products
+        const std::vector<u64> base0 = randomCanonical(n, q, rng);
+        const std::vector<u64> base1 = randomCanonical(n, q, rng);
+        for (bool s0 : {false, true}) {
+            for (bool s1 : {false, true}) {
+                std::vector<u64> want0 = base0, want1 = base1;
+                scalarK().macChainLink(want0.data(), a.data(), b0.data(),
+                                       n, s0);
+                scalarK().macChainLink(want1.data(), a.data(), b1.data(),
+                                       n, s1);
+                for (const simd::Kernels *k : allBackends()) {
+                    std::vector<u64> got0 = base0, got1 = base1;
+                    k->macChainPair(got0.data(), got1.data(), a.data(),
+                                    b0.data(), b1.data(), n, s0, s1);
+                    ASSERT_EQ(got0, want0) << k->name << " n=" << n
+                                           << " s0=" << s0 << " s1=" << s1;
+                    ASSERT_EQ(got1, want1) << k->name << " n=" << n
+                                           << " s0=" << s0 << " s1=" << s1;
+                }
+            }
+        }
+    }
+
+    // The chain policy: kernels::chainMacPair against two chainMacAcc
+    // chains and a canonical reference, for a fused prime and one past
+    // the fused bound (strict), with and without a canonical addend.
+    const u64 n = 64;
+    const u64 links = 9;
+    for (u64 q : {kIvePrimes[0], primeOf(33, n)}) {
+        const Modulus mod(q);
+        ASSERT_EQ(kernels::fusedMacOk(mod, links),
+                  q < simd::kFusedMacModulusBound);
+        std::vector<std::vector<u64>> a, b0, b1;
+        for (u64 l = 0; l < links; ++l) {
+            a.push_back(randomCanonical(n, q, rng));
+            b0.push_back(randomCanonical(n, q, rng));
+            b1.push_back(randomCanonical(n, q, rng));
+        }
+        for (bool addend : {false, true}) {
+            const std::vector<u64> init0 = randomCanonical(n, q, rng);
+            const std::vector<u64> init1 = randomCanonical(n, q, rng);
+            std::vector<u64> pair0 = init0, pair1 = init1;
+            std::vector<u64> two0 = init0, two1 = init1;
+            for (u64 l = 0; l < links; ++l) {
+                const bool store = !addend && l == 0;
+                kernels::chainMacPair(mod, links, n, pair0.data(),
+                                      pair1.data(), a[l].data(),
+                                      b0[l].data(), b1[l].data(), store,
+                                      store);
+                kernels::chainMacAcc(mod, links, n, two0.data(),
+                                     a[l].data(), b0[l].data(), store);
+                kernels::chainMacAcc(mod, links, n, two1.data(),
+                                     a[l].data(), b1[l].data(), store);
+            }
+            for (std::vector<u64> *v : {&pair0, &pair1, &two0, &two1})
+                kernels::chainMacFinish(mod, links, n, v->data());
+            ASSERT_EQ(pair0, two0) << "q=" << q << " addend=" << addend;
+            ASSERT_EQ(pair1, two1) << "q=" << q << " addend=" << addend;
+            for (u64 i = 0; i < n; ++i) {
+                u64 r0 = addend ? init0[i] : 0, r1 = addend ? init1[i] : 0;
+                for (u64 l = 0; l < links; ++l) {
+                    r0 = mod.add(r0, mod.mul(a[l][i], b0[l][i]));
+                    r1 = mod.add(r1, mod.mul(a[l][i], b1[l][i]));
+                }
+                ASSERT_EQ(pair0[i], r0) << "q=" << q << " i=" << i;
+                ASSERT_EQ(pair1[i], r1) << "q=" << q << " i=" << i;
             }
         }
     }
