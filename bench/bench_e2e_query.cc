@@ -19,7 +19,9 @@
  * telemetry path operators see, and a histogram regression is a bench
  * failure, not a silent skew. Stage _ms columns are p50; the _p99_ms
  * columns expose tail latency. answer_ms stays a wall-clock mean over
- * the qps loop (scripts/ci.sh gates on it).
+ * the qps loop (scripts/ci.sh gates on it). The _eff columns divide
+ * means (the histogram's exact sum / count), since p50s land on log-
+ * bucket bounds and their ratios can read above 1.
  *
  * Usage: bench_e2e_query [--quick] [--inject] [--out FILE]
  *   --quick   small ring / database; used by scripts/ci.sh as a perf
@@ -73,15 +75,17 @@ usableCores()
     return std::max(1u, std::thread::hardware_concurrency());
 }
 
-/** p50/p99 of one stage histogram, in milliseconds. */
+/** p50/p99 and exact mean of one stage histogram, in milliseconds. */
 struct StageDist
 {
     double p50Ms = 0;
     double p99Ms = 0;
+    double meanMs = 0; ///< sum / count: no bucket quantization.
 };
 
 /**
- * Resets the stage's latency histogram, runs fn() reps times, and
+ * Runs fn() once untimed (a cold first call would skew the mean),
+ * resets the stage's latency histogram, runs fn() reps times, and
  * reads the distribution back from the telemetry the stages record
  * themselves (one sample per invocation).
  */
@@ -89,12 +93,14 @@ template <typename Fn>
 StageDist
 measureStage(obs::Histogram &h, int reps, Fn &&fn)
 {
+    fn();
     h.reset();
     for (int r = 0; r < reps; ++r)
         fn();
     obs::HistogramSnapshot s = h.snapshot();
     return {static_cast<double>(s.percentile(0.50)) / 1e6,
-            static_cast<double>(s.percentile(0.99)) / 1e6};
+            static_cast<double>(s.percentile(0.99)) / 1e6,
+            s.mean() / 1e6};
 }
 
 struct StageTimes
@@ -409,7 +415,8 @@ main(int argc, char **argv)
     // scaling, 1/T is no scaling. The 1-thread point is the divisor,
     // so its own columns are 1.0 by construction. Stage _ms columns
     // are histogram p50s; _p99_ms columns are the tails; answer_ms is
-    // the wall-clock mean the CI perf gate reads.
+    // the wall-clock mean the CI perf gate reads. Stage efficiencies
+    // divide per-call means, which do not quantize to bucket bounds.
     const StageTimes &base = results[0];
     auto eff = [&](double t1, double tt, int threads) {
         return tt > 0 ? (t1 / tt) / threads : 0.0;
@@ -434,11 +441,11 @@ main(int argc, char **argv)
                      st.answerSec * 1e3, st.qps, st.expand.p99Ms,
                      st.selectors.p99Ms, st.rowsel.p99Ms, st.fold.p99Ms,
                      st.answer.p50Ms, st.answer.p99Ms,
-                     eff(base.expand.p50Ms, st.expand.p50Ms, st.threads),
-                     eff(base.selectors.p50Ms, st.selectors.p50Ms,
+                     eff(base.expand.meanMs, st.expand.meanMs, st.threads),
+                     eff(base.selectors.meanMs, st.selectors.meanMs,
                          st.threads),
-                     eff(base.rowsel.p50Ms, st.rowsel.p50Ms, st.threads),
-                     eff(base.fold.p50Ms, st.fold.p50Ms, st.threads),
+                     eff(base.rowsel.meanMs, st.rowsel.meanMs, st.threads),
+                     eff(base.fold.meanMs, st.fold.meanMs, st.threads),
                      eff(base.answerSec, st.answerSec, st.threads),
                      st.answerSec > 0 ? base.answerSec / st.answerSec
                                       : 0.0);

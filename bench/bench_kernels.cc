@@ -128,22 +128,28 @@ BENCHMARK(BM_NttInverseStrict);
 static void
 BM_MacChainFused(benchmark::State &state)
 {
-    // A D0 = 64-long RowSel-style MAC chain over one residue plane:
-    // u64 accumulation in the destination, one deferred Barrett pass.
+    // A D0 = 64-long RowSel-style MAC chain into the two sides of one
+    // residue plane, which share the DB operand: u64 accumulation in
+    // the destinations, one deferred Barrett pass each. Items count
+    // both sides' MACs.
     auto &f = fixture();
     const Ring &ring = f.ctx.ring();
     const Modulus &mod = ring.base.modulus(0);
     std::span<const u64> a = f.dbEntry.residues(0);
-    std::span<const u64> b = f.ct.a.residues(0);
-    std::vector<u64> out(ring.n);
+    std::span<const u64> b0 = f.ct.a.residues(0);
+    std::span<const u64> b1 = f.ct.b.residues(0);
+    std::vector<u64> out0(ring.n), out1(ring.n);
     for (auto _ : state) {
         for (int c = 0; c < 64; ++c)
-            kernels::chainMacAcc(mod, 64, ring.n, out.data(), a.data(),
-                                 b.data(), c == 0);
-        kernels::chainMacFinish(mod, 64, ring.n, out.data());
-        benchmark::DoNotOptimize(out.data());
+            kernels::chainMacPair(mod, 64, ring.n, out0.data(),
+                                  out1.data(), a.data(), b0.data(),
+                                  b1.data(), c == 0, c == 0);
+        kernels::chainMacFinish(mod, 64, ring.n, out0.data());
+        kernels::chainMacFinish(mod, 64, ring.n, out1.data());
+        benchmark::DoNotOptimize(out0.data());
+        benchmark::DoNotOptimize(out1.data());
     }
-    state.SetItemsProcessed(state.iterations() * 64 * ring.n);
+    state.SetItemsProcessed(state.iterations() * 2 * 64 * ring.n);
 }
 BENCHMARK(BM_MacChainFused);
 
@@ -329,28 +335,9 @@ isaNttInverse(benchmark::State &state, const simd::Kernels *k)
 }
 
 void
-isaMacChain(benchmark::State &state, const simd::Kernels *k)
-{
-    auto &f = fixture();
-    const Ring &ring = f.ctx.ring();
-    const Modulus &mod = ring.base.modulus(0);
-    std::span<const u64> a = f.dbEntry.residues(0);
-    std::span<const u64> b = f.ct.a.residues(0);
-    std::vector<u64> out(ring.n);
-    for (auto _ : state) {
-        for (int c = 0; c < 64; ++c)
-            k->macChainLink(out.data(), a.data(), b.data(), ring.n,
-                            c == 0);
-        k->macChainReduce(out.data(), ring.n, mod);
-        benchmark::DoNotOptimize(out.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 64 * ring.n);
-}
-
-void
 isaMacPair(benchmark::State &state, const simd::Kernels *k)
 {
-    // The same 64-long chain into two output planes that share the
+    // A D0 = 64-long chain into two output planes that share the
     // first operand (RowSel's DB plane times leaf a and b): one pair
     // link per step. Items count both planes' MACs.
     auto &f = fixture();
@@ -423,7 +410,6 @@ registerIsaBenches()
             continue;
         registerIsaBench("NttForward", k, &isaNttForward);
         registerIsaBench("NttInverse", k, &isaNttInverse);
-        registerIsaBench("MacChain", k, &isaMacChain);
         registerIsaBench("MacPair", k, &isaMacPair);
         registerIsaBench("DigitDecompose", k, &isaDigitDecompose);
         registerIsaBench("ApplyCoeffMap", k, &isaApplyCoeffMap);

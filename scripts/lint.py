@@ -49,12 +49,12 @@ Rules (each line reports as ``path:line: [rule] message``):
                       include root, so without this rule a stray
                       include would quietly pull those libraries back
                       into the serving link.
-  wire-domain         Every protocol decoder states the domain its
-                      polys must have. In pir/wire.cc each call to
-                      loadBfvCiphertext, loadEvkKey or
-                      loadRgswCiphertext (which accept either domain
-                      tag) must carry an allow() naming the NTT-form
-                      check that follows it.
+  serving-fatal       The serving modules (the same four) must not
+                      call fatal(), which exits the process. Serving
+                      code reports a bad configuration by throwing
+                      (PirParams::validate throws
+                      std::invalid_argument), so its caller can refuse
+                      it and keep serving.
 
 Escape hatch: a finding is suppressed when the flagged line, or the
 line directly above it, carries
@@ -100,15 +100,10 @@ ALLOC_RE = re.compile(
     r"|\.\s*(?:resize|reserve|push_back|emplace_back)\s*\("
     r"|(?<![A-Za-z0-9_])(?:make_unique|make_shared)\s*<"
 )
-WIRE_DOMAIN_FILES = {"src/pir/wire.cc"}
 
 SERIALIZE_RE = re.compile(
     r"(?<![A-Za-z0-9_])(?:memcpy|memmove)\s*\("
     r"|(?<![A-Za-z0-9_])reinterpret_cast\s*<"
-)
-WIRE_DOMAIN_RE = re.compile(
-    r"(?<![A-Za-z0-9_])"
-    r"(?:loadBfvCiphertext|loadEvkKey|loadRgswCiphertext)\s*\("
 )
 USING_STD_RE = re.compile(r"using\s+namespace\s+std\b")
 CATCH_ALL_RE = re.compile(r"catch\s*\(\s*\.\.\.\s*\)")
@@ -125,6 +120,7 @@ SERVING_MODULES = ("src/pir/", "src/shard/", "src/net/", "src/obs/")
 INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
 SERVING_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s*[<"](?:sim|system|model)/')
+SERVING_FATAL_RE = re.compile(r"(?<![A-Za-z0-9_])fatal\s*\(")
 GUARD_IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(IVE_\w+_HH)\s*$", re.M)
 GUARD_DEFINE_RE = re.compile(r"^\s*#\s*define\s+(IVE_\w+_HH)\s*$", re.M)
 
@@ -140,7 +136,7 @@ ALL_RULES = (
     "catch-all",
     "raw-socket",
     "serving-layering",
-    "wire-domain",
+    "serving-fatal",
 )
 
 
@@ -283,6 +279,12 @@ def lint_file(f: Findings, root: Path, path: Path) -> None:
                 SERVING_INCLUDE_RE,
                 "serving code includes sim/, model/ or system/; the "
                 "serving libraries must not link the simulator stack")
+        if rel.startswith(SERVING_MODULES):
+            check_line_rule(
+                f, rel, raw_lines, code_lines, idx, "serving-fatal",
+                SERVING_FATAL_RE,
+                "fatal() exits the serving process; throw a typed "
+                "error instead")
         if rel in HOT_PATH_FILES:
             check_line_rule(
                 f, rel, raw_lines, code_lines, idx, "hot-path-alloc",
@@ -294,13 +296,6 @@ def lint_file(f: Findings, root: Path, path: Path) -> None:
                 SERIALIZE_RE,
                 "raw byte access outside the ByteReader/ByteWriter "
                 "bounds discipline")
-        if rel in WIRE_DOMAIN_FILES:
-            check_line_rule(
-                f, rel, raw_lines, code_lines, idx, "wire-domain",
-                WIRE_DOMAIN_RE,
-                "protocol decoder loads ciphertexts of either domain; "
-                "check NTT form after it and name that check in an "
-                "allow()")
         check_line_rule(
             f, rel, raw_lines, code_lines, idx, "using-namespace-std",
             USING_STD_RE, "'using namespace std' is banned")
@@ -436,18 +431,13 @@ def self_test() -> int:
         ("src/obs/x.cc", '#include "common/types.hh"\n', None),
         ("src/pir/x.cc", '// #include "sim/config.hh" once did\n', None),
         ("tests/t.cc", '#include "system/batch_scheduler.hh"\n', None),
-        # Protocol decoders state the domain of what they load.
-        ("src/pir/wire.cc", "keys.evks.push_back(loadEvkKey(r, ctx));\n",
-         "wire-domain"),
-        ("src/pir/wire.cc",
-         "// lint: allow(wire-domain) -- firstNonNttRow() checks it\n"
-         "keys.rgswOfSecret = loadRgswCiphertext(r, ctx);\n", None),
-        ("src/pir/wire.cc",
-         "BfvCiphertext ct = loadBfvCiphertext(r, ring); "
-         "// lint: allow(wire-domain)\n", "wire-domain"),
-        ("src/bfv/rgsw.cc",
-         "rows.push_back(loadBfvCiphertext(r, ctx.ring()));\n", None),
-        ("src/pir/wire.cc", "BfvCiphertext loadNttCiphertext(\n", None),
+        # Serving code throws; only the simulator may exit.
+        ("src/pir/x.cc", 'fatal("bad params");\n', "serving-fatal"),
+        ("src/net/x.cc",
+         "// lint: allow(serving-fatal) -- startup-only config error\n"
+         'fatal("bad port");\n', None),
+        ("src/sim/x.cc", 'fatal("bad params");\n', None),
+        ("src/shard/x.cc", "// fatal() would exit here\n", None),
     ]
 
     failures = 0

@@ -162,8 +162,11 @@ BfvCiphertext
 loadBfvCiphertext(ByteReader &r, const Ring &ring)
 {
     BfvCiphertext ct;
-    ct.a = loadRnsPoly(r, ring);
-    ct.b = loadRnsPoly(r, ring);
+    for (RnsPoly *side : {&ct.a, &ct.b}) {
+        *side = loadRnsPoly(r, ring);
+        if (!side->isNtt())
+            r.fail("ciphertext side must be in NTT form");
+    }
     return ct;
 }
 

@@ -123,6 +123,12 @@ void monomialMulInPlace(const HeContext &ctx, BfvCiphertext &ct,
 
 /** Wire encoding: the a then b polynomials (see saveRnsPoly). */
 void saveBfvCiphertext(ByteWriter &w, const BfvCiphertext &ct);
+/**
+ * Decodes what saveBfvCiphertext wrote. Every ciphertext the library
+ * keeps is in NTT form and nothing transforms one it loads, so a side
+ * tagged with the coefficient domain throws SerializeError; evk and
+ * RGSW rows load through here too.
+ */
 BfvCiphertext loadBfvCiphertext(ByteReader &r, const Ring &ring);
 
 /**

@@ -1,5 +1,6 @@
 #include "bfv/context.hh"
 
+#include "common/bitops.hh"
 #include "common/logging.hh"
 #include "modmath/primes.hh"
 
@@ -33,6 +34,7 @@ HeContext::HeContext(const HeContextConfig &cfg)
     gadgetRgsw_ =
         std::make_unique<Gadget>(&ring_.base, cfg.logZRgsw, cfg.ellRgsw);
     maps_.resize(ring_.n);
+    monomials_.resize(log2Exact(ring_.n));
 }
 
 const AutomorphismMaps &
@@ -49,6 +51,29 @@ HeContext::automorphismMaps(u64 r) const
         RnsPoly::automorphismMap(n, r, maps->coeff);
         RnsPoly::nttAutomorphismMap(n, r, maps->ntt);
         slot = std::move(maps);
+    }
+    return *slot;
+}
+
+const ExpansionMonomial &
+HeContext::expansionMonomial(int t) const
+{
+    const u64 n = ring_.n;
+    ive_assert(t >= 0 && t < log2Exact(n));
+    LockGuard lock(monomialsMu_);
+    std::unique_ptr<const ExpansionMonomial> &slot = monomials_[t];
+    if (!slot) {
+        auto m = std::make_unique<ExpansionMonomial>();
+        m->ntt = RnsPoly::monomialNtt(ring_, -static_cast<i64>(u64{1} << t));
+        m->shoup.resize(ring_.words());
+        for (int p = 0; p < ring_.k(); ++p) {
+            const Modulus &mod = ring_.base.modulus(p);
+            std::span<const u64> plane = m->ntt.residues(p);
+            for (u64 i = 0; i < n; ++i)
+                m->shoup[static_cast<u64>(p) * n + i] =
+                    mod.shoupPrecompute(plane[i]);
+        }
+        slot = std::move(m);
     }
     return *slot;
 }

@@ -14,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/align.hh"
 #include "common/annotations.hh"
 #include "poly/poly.hh"
 #include "rns/gadget.hh"
@@ -39,6 +40,17 @@ struct AutomorphismMaps
 {
     std::vector<u64> coeff; ///< RnsPoly::automorphismMap.
     std::vector<u64> ntt;   ///< RnsPoly::nttAutomorphismMap.
+};
+
+/**
+ * NTT(X^{-2^t}), the multiplicand of ExpandQuery's odd branch at tree
+ * level t, with its x2^64 Shoup companions (prime-major, k*n words) so
+ * that multiply skips Barrett entirely.
+ */
+struct ExpansionMonomial
+{
+    RnsPoly ntt;
+    AlignedU64Vec shoup;
 };
 
 class HeContext
@@ -70,6 +82,15 @@ class HeContext
     const AutomorphismMaps &automorphismMaps(u64 r) const
         IVE_EXCLUDES(mapsMu_);
 
+    /**
+     * The level-t expansion monomial (0 <= t < log2 n), built on first
+     * use and kept for the context's lifetime, so every engine on one
+     * context shares one copy. Client contexts never ask for it. Safe
+     * to call from any thread.
+     */
+    const ExpansionMonomial &expansionMonomial(int t) const
+        IVE_EXCLUDES(monomialsMu_);
+
   private:
     HeContextConfig cfg_;
     Ring ring_;
@@ -82,6 +103,10 @@ class HeContext
     /** Indexed by (r - 1) / 2; entries never move once built. */
     mutable std::vector<std::unique_ptr<const AutomorphismMaps>> maps_
         IVE_GUARDED_BY(mapsMu_);
+    mutable Mutex monomialsMu_;
+    /** Indexed by level; entries never move once built. */
+    mutable std::vector<std::unique_ptr<const ExpansionMonomial>>
+        monomials_ IVE_GUARDED_BY(monomialsMu_);
 };
 
 } // namespace ive

@@ -52,7 +52,17 @@ struct PirParams
     /** Depth L of the ExpandQuery binary tree (2^L >= usedLeaves). */
     int expansionDepth() const { return log2Ceil(usedLeaves()); }
 
-    /** Aborts with a message when the parameter set is inconsistent. */
+    /**
+     * The one list of what a parameter set must satisfy: field ranges,
+     * geometry (usedLeaves() <= N), primes below kMaxModulus that are
+     * prime, NTT-friendly and distinct, 128-bit headroom, noise room,
+     * and both gadgets within the digit decomposer's limits and
+     * covering Q. A set that passes builds every HeContext, Database,
+     * PirClient and PirServer without tripping a constructor assert.
+     * Throws std::invalid_argument naming the first failed check; it
+     * never asserts and never overflows, whatever the field values, so
+     * the wire decoder runs it on hostile blobs.
+     */
     void validate() const;
 
     /** Functional defaults: full OnionPIR pipeline that decrypts. */

@@ -120,21 +120,10 @@ PirServer::PirServer(const HeContext &ctx, const PirParams &params,
                    params_.expansionDepth() &&
                keys_->firstNonNttRow().empty());
 
-    const Ring &ring = ctx_.ring();
-    for (int t = 0; t < params_.expansionDepth(); ++t) {
-        monomials_.push_back(RnsPoly::monomialNtt(
-            ctx_.ring(), -static_cast<i64>(u64{1} << t)));
-        // Shoup companions for the fixed monomial multiplicand.
-        AlignedU64Vec shoup(ring.words());
-        for (int p = 0; p < ring.k(); ++p) {
-            const Modulus &mod = ring.base.modulus(p);
-            std::span<const u64> plane = monomials_.back().residues(p);
-            for (u64 i = 0; i < ring.n; ++i)
-                shoup[static_cast<u64>(p) * ring.n + i] =
-                    mod.shoupPrecompute(plane[i]);
-        }
-        monomialShoup_.push_back(std::move(shoup));
-    }
+    // The context builds each level's table once for all engines;
+    // holding the pointers keeps its lock off the query path.
+    for (int t = 0; t < params_.expansionDepth(); ++t)
+        levelMonomials_.push_back(&ctx_.expansionMonomial(t));
 }
 
 u64
@@ -221,8 +210,8 @@ PirServer::expandAndSelect(const PirQuery &query, int sel_from,
                 // Odd branch: X^{-2^t} * (ct - Subs(ct, r)).
                 BfvCiphertext odd = node.ct;
                 subInPlace(ctx_, odd, *rotated);
-                monomialMulInPlace(ctx_, odd, monomials_[t],
-                                   monomialShoup_[t]);
+                monomialMulInPlace(ctx_, odd, levelMonomials_[t]->ntt,
+                                   levelMonomials_[t]->shoup);
                 next[slot + 1] = {std::move(odd), odd_idx};
                 if (last)
                     maybeSelect(odd_idx, next[slot + 1].ct);

@@ -200,10 +200,8 @@ class PirServer
     std::shared_ptr<const PirPublicKeys> keys_; ///< Shared, immutable.
     u32 shard_;
     u32 numShards_;
-    std::vector<RnsPoly> monomials_; ///< NTT(X^{-2^t}) per tree level.
-    /** x2^64 Shoup companions of monomials_, prime-major k*n words:
-     *  the expansion's odd-branch multiplies skip Barrett entirely. */
-    std::vector<AlignedU64Vec> monomialShoup_;
+    /** The context's expansion monomial per tree level. */
+    std::vector<const ExpansionMonomial *> levelMonomials_;
     mutable ServerCounters counters_;
 };
 

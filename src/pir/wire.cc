@@ -1,25 +1,19 @@
 #include "pir/wire.hh"
 
 #include <algorithm>
-#include <cmath>
+#include <stdexcept>
 
 #include "common/bitops.hh"
 #include "common/failpoint.hh"
 #include "common/logging.hh"
 #include "modmath/primes.hh"
-#include "poly/simd/simd.hh"
 
 namespace ive {
 
 namespace {
 
-/** Largest ring degree the loader will accept (2^20 coefficients):
- *  the degree the unreduced-NTT bounds are proved for. */
-constexpr u64 kMaxRingN = u64{1} << simd::kMaxLogDegree;
 /** RNS primes are ~28-bit; eight already exceed the u128 headroom. */
 constexpr u64 kMaxPrimes = 8;
-/** Gadget digit counts beyond this make no sense for u128 moduli. */
-constexpr u64 kMaxEll = 64;
 /** Widest shard fan-out a PartialResponse may claim (2^16 systems). */
 constexpr u64 kMaxShards = u64{1} << 16;
 /**
@@ -45,83 +39,6 @@ checkRange(ByteReader &r, bool ok, const char *what, u64 value)
     if (!ok)
         r.fail(strprintf("%s %llu out of range", what,
                          static_cast<unsigned long long>(value)));
-}
-
-/**
- * Throwing mirror of every ive_assert the parameter set will hit on
- * its way through Modulus/RnsBase/NttTable/Gadget/HeContext
- * construction. A params blob that passes here builds a ServerSession
- * without aborting; one that would abort throws SerializeError
- * instead (the reader's never-crash contract).
- */
-void
-checkConstructible(ByteReader &r, const PirParams &p)
-{
-    std::vector<u64> primes = p.he.primes;
-    if (primes.empty())
-        primes = {kIvePrimes.begin(), kIvePrimes.end()};
-
-    double log_q = 0.0;
-    for (size_t i = 0; i < primes.size(); ++i) {
-        u64 prime = primes[i];
-        // Modulus: Barrett constants need q < kMaxModulus; RnsBase:
-        // CRT needs actual (distinct) primes; NttTable: 2n | q-1.
-        checkRange(r, prime > 1 && prime < kMaxModulus, "prime",
-                   prime);
-        if (!isPrime(prime))
-            r.fail(strprintf("modulus %llu is not prime",
-                             static_cast<unsigned long long>(prime)));
-        if (prime % (2 * p.he.n) != 1)
-            r.fail(strprintf(
-                "prime %llu is not NTT-friendly for n = %llu",
-                static_cast<unsigned long long>(prime),
-                static_cast<unsigned long long>(p.he.n)));
-        for (size_t j = 0; j < i; ++j) {
-            if (primes[j] == prime)
-                r.fail(strprintf("duplicate prime %llu",
-                                 static_cast<unsigned long long>(prime)));
-        }
-        log_q += std::log2(static_cast<double>(prime));
-    }
-    // RnsBase: 128-bit intermediates (sums of k terms < Q) must fit.
-    if (log_q + std::log2(static_cast<double>(primes.size())) >= 127.0)
-        r.fail("modulus chain exceeds 128-bit headroom");
-    // HeContext: Delta must dominate P or there is no noise room.
-    if (log_q <= std::log2(static_cast<double>(p.he.plainModulus)) + 20)
-        r.fail("plaintext modulus leaves no noise room under Q");
-    // Gadget: base in [2^1, 2^30] and z^ell must cover Q.
-    checkRange(r, p.he.logZKs <= 30, "logZKs", p.he.logZKs);
-    checkRange(r, p.he.logZRgsw <= 30, "logZRgsw", p.he.logZRgsw);
-    if (static_cast<double>(p.he.logZKs) * p.he.ellKs < log_q)
-        r.fail("key-switching gadget does not cover Q");
-    if (static_cast<double>(p.he.logZRgsw) * p.he.ellRgsw < log_q)
-        r.fail("RGSW gadget does not cover Q");
-    // Database: bound the preprocessed bytes a blob can demand.
-    u128 pre_bytes = static_cast<u128>(p.numEntries()) * p.planes *
-                     p.he.n * primes.size() * 8;
-    if (pre_bytes > kMaxDbWireBytes)
-        r.fail(strprintf("database of %llu x %d plaintexts needs "
-                         "%.1f GiB preprocessed, over the wire cap",
-                         static_cast<unsigned long long>(p.numEntries()),
-                         p.planes,
-                         static_cast<double>(pre_bytes) /
-                             (1024.0 * 1024.0 * 1024.0)));
-}
-
-/**
- * Every ciphertext the serving protocol carries (query, response,
- * partial response) is in NTT form, and the pipeline and the client's
- * decoder assume it. The wire format tags either domain, so the three
- * protocol decoders reject a coefficient-domain plane here.
- */
-BfvCiphertext
-loadNttCiphertext(ByteReader &r, const Ring &ring, const char *what)
-{
-    // lint: allow(wire-domain) -- both sides checked for NTT form below
-    BfvCiphertext ct = loadBfvCiphertext(r, ring);
-    if (!ct.a.isNtt() || !ct.b.isNtt())
-        r.fail(strprintf("%s ciphertext must be in NTT form", what));
-    return ct;
 }
 
 } // namespace
@@ -153,45 +70,34 @@ deserializeParams(std::span<const u8> blob)
     r.readHeader(WireKind::Params);
     PirParams p;
     p.he.n = r.readU64();
-    checkRange(r, isPow2(p.he.n) && p.he.n >= 4 && p.he.n <= kMaxRingN,
-               "ring degree", p.he.n);
     p.he.plainModulus = r.readU64();
-    checkRange(r, isPow2(p.he.plainModulus) && p.he.plainModulus >= 2,
-               "plaintext modulus", p.he.plainModulus);
     p.he.logZKs = static_cast<int>(r.readU32());
-    checkRange(r, p.he.logZKs >= 1 && p.he.logZKs <= 63, "logZKs",
-               p.he.logZKs);
     p.he.ellKs = static_cast<int>(r.readU32());
-    checkRange(r, p.he.ellKs >= 1 &&
-                   static_cast<u64>(p.he.ellKs) <= kMaxEll,
-               "ellKs", p.he.ellKs);
     p.he.logZRgsw = static_cast<int>(r.readU32());
-    checkRange(r, p.he.logZRgsw >= 1 && p.he.logZRgsw <= 63, "logZRgsw",
-               p.he.logZRgsw);
     p.he.ellRgsw = static_cast<int>(r.readU32());
-    checkRange(r, p.he.ellRgsw >= 1 &&
-                   static_cast<u64>(p.he.ellRgsw) <= kMaxEll,
-               "ellRgsw", p.he.ellRgsw);
     u64 num_primes = r.readCount(kMaxPrimes, 8, "prime");
-    for (u64 i = 0; i < num_primes; ++i) {
-        u64 prime = r.readU64();
-        checkRange(r, prime >= 2, "prime", prime);
-        p.he.primes.push_back(prime);
-    }
+    for (u64 i = 0; i < num_primes; ++i)
+        p.he.primes.push_back(r.readU64());
     p.d0 = r.readU64();
-    checkRange(r, isPow2(p.d0) && p.d0 <= kMaxRingN, "d0", p.d0);
     p.d = static_cast<int>(r.readU32());
-    checkRange(r, p.d >= 0 && p.d <= 40, "dimension count", p.d);
     p.planes = static_cast<int>(r.readU32());
-    checkRange(r, p.planes >= 1 && p.planes <= (1 << 20), "planes",
-               p.planes);
-    if (p.usedLeaves() > p.he.n)
-        r.fail(strprintf("query does not fit one ring element "
-                         "(D0 + d*l = %llu > N = %llu)",
-                         static_cast<unsigned long long>(p.usedLeaves()),
-                         static_cast<unsigned long long>(p.he.n)));
-    checkConstructible(r, p);
     r.expectEnd();
+    try {
+        p.validate();
+    } catch (const std::invalid_argument &e) {
+        r.fail(e.what());
+    }
+    // Database: bound the preprocessed bytes a blob can demand.
+    u64 k = p.he.primes.empty() ? kIvePrimes.size() : p.he.primes.size();
+    u128 pre_bytes = static_cast<u128>(p.numEntries()) * p.planes *
+                     p.he.n * k * 8;
+    if (pre_bytes > kMaxDbWireBytes)
+        r.fail(strprintf("database of %llu x %d plaintexts needs "
+                         "%.1f GiB preprocessed, over the wire cap",
+                         static_cast<unsigned long long>(p.numEntries()),
+                         p.planes,
+                         static_cast<double>(pre_bytes) /
+                             (1024.0 * 1024.0 * 1024.0)));
     return p;
 }
 
@@ -220,11 +126,8 @@ deserializePublicKeys(const HeContext &ctx, const PirParams &params,
     u64 evk_bytes = 16 + static_cast<u64>(ctx.config().ellKs) *
                              bfvCiphertextWireBytes(ctx.ring());
     u64 num_evks = r.readCount(max_evks, evk_bytes, "evk");
-    for (u64 i = 0; i < num_evks; ++i) {
-        // lint: allow(wire-domain) -- firstNonNttRow() below checks it
+    for (u64 i = 0; i < num_evks; ++i)
         keys.evks.push_back(loadEvkKey(r, ctx));
-    }
-    // lint: allow(wire-domain) -- firstNonNttRow() below checks it
     keys.rgswOfSecret = loadRgswCiphertext(r, ctx);
     r.expectEnd();
 
@@ -243,10 +146,6 @@ deserializePublicKeys(const HeContext &ctx, const PirParams &params,
                 t, static_cast<unsigned long long>(keys.evks[t].r),
                 static_cast<unsigned long long>(want)));
     }
-    // The server never transforms a key row, and a coefficient-form
-    // row would turn every later answer into a wrong record.
-    if (std::string bad = keys.firstNonNttRow(); !bad.empty())
-        throw SerializeError("key " + bad + " must be in NTT form");
     return keys;
 }
 
@@ -265,7 +164,7 @@ deserializeQuery(const HeContext &ctx, std::span<const u8> blob)
 {
     ByteReader r(blob);
     r.readHeader(WireKind::Query);
-    PirQuery q{loadNttCiphertext(r, ctx.ring(), "query")};
+    PirQuery q{loadBfvCiphertext(r, ctx.ring())};
     r.expectEnd();
     return q;
 }
@@ -305,8 +204,7 @@ deserializeResponse(const HeContext &ctx, std::span<const u8> blob)
     if (planes == 0)
         r.fail("response has zero planes");
     for (u64 i = 0; i < planes; ++i)
-        resp.planes.push_back(
-            loadNttCiphertext(r, ctx.ring(), "response"));
+        resp.planes.push_back(loadBfvCiphertext(r, ctx.ring()));
     r.expectEnd();
     return resp;
 }
@@ -349,8 +247,7 @@ deserializePartialResponse(const HeContext &ctx,
     if (planes == 0)
         r.fail("partial response has zero planes");
     for (u64 i = 0; i < planes; ++i)
-        partial.planes.push_back(
-            loadNttCiphertext(r, ctx.ring(), "partial-response"));
+        partial.planes.push_back(loadBfvCiphertext(r, ctx.ring()));
     r.expectEnd();
     return partial;
 }

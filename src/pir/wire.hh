@@ -16,7 +16,8 @@
  * Each blob is magic "IVEW" + version + kind, then the object fields
  * (see README "Wire format" for the exact field order). Deserializers
  * consume the entire buffer and throw SerializeError on any malformed,
- * truncated, or version-incompatible input.
+ * truncated, or version-incompatible input; every ciphertext side they
+ * load must be in NTT form (loadBfvCiphertext rejects the other tag).
  */
 
 #ifndef IVE_PIR_WIRE_HH
@@ -46,13 +47,15 @@ struct PirPartialResponse
 };
 
 std::vector<u8> serializeParams(const PirParams &params);
+/** Reads the fields, checks them through PirParams::validate(), and
+ *  caps the database a blob may demand at 64 GiB preprocessed. */
 PirParams deserializeParams(std::span<const u8> blob);
 
 std::vector<u8> serializePublicKeys(const HeContext &ctx,
                                     const PirPublicKeys &keys);
-/** The one key decoder: structure, then the params' expansion schedule
- *  (extra evks accepted), then NTT form for every evk and RGSW(s) row.
- *  A blob that passes builds a PirServer without aborting. */
+/** The one key decoder: structure (every row in NTT form), then the
+ *  params' expansion schedule (extra evks accepted). A blob that
+ *  passes builds a PirServer without aborting. */
 PirPublicKeys deserializePublicKeys(const HeContext &ctx,
                                     const PirParams &params,
                                     std::span<const u8> blob);

@@ -241,32 +241,13 @@ fusedMacOk(const Modulus &mod, u64 links)
 // Keeping the dispatch here means a policy change edits one place.
 
 /**
- * One chain link over a plane of n words: dst (+)= a o b. `store` on
- * the first link of a chain without an addend overwrites dst, so
- * destinations need no zero fill; otherwise dst holds the running sum
- * (or, before the first link, a canonical addend such as Subs'
- * sigma_r(b)). `links` is the chain's full length.
- */
-inline void
-chainMacAcc(const Modulus &mod, u64 links, u64 n, u64 *dst,
-            const u64 *a, const u64 *b, bool store)
-{
-    if (fusedMacOk(mod, links)) {
-        simd::active().macChainLink(dst, a, b, n, store);
-        return;
-    }
-    if (store) {
-        for (u64 i = 0; i < n; ++i)
-            dst[i] = 0;
-    }
-    mulAccVec(dst, a, b, n, mod);
-}
-
-/**
  * Two links of two chains that share their first operand: dst0 (+)=
  * a o b0 and dst1 (+)= a o b1, reading a once on the fused path.
- * Each destination follows chainMacAcc's rules with its own store
- * flag; both chains have `links` links.
+ * `store` on the first link of a chain without an addend overwrites
+ * that destination, so destinations need no zero fill; otherwise it
+ * holds the running sum (or, before the first link, a canonical addend
+ * such as Subs' sigma_r(b)). Each destination has its own store flag;
+ * both chains have `links` links, the chain's full length.
  */
 inline void
 chainMacPair(const Modulus &mod, u64 links, u64 n, u64 *dst0, u64 *dst1,
@@ -278,8 +259,15 @@ chainMacPair(const Modulus &mod, u64 links, u64 n, u64 *dst0, u64 *dst1,
                                     store1);
         return;
     }
-    chainMacAcc(mod, links, n, dst0, a, b0, store0);
-    chainMacAcc(mod, links, n, dst1, a, b1, store1);
+    auto strict = [&](u64 *dst, const u64 *b, bool store) {
+        if (store) {
+            for (u64 i = 0; i < n; ++i)
+                dst[i] = 0;
+        }
+        mulAccVec(dst, a, b, n, mod);
+    };
+    strict(dst0, b0, store0);
+    strict(dst1, b1, store1);
 }
 
 /** Ends a chain: a fused chain pays its one reduction, in place. */

@@ -95,6 +95,8 @@ void mulShoupVec(u64 *dst, const u64 *b, const u64 *b_shoup, u64 n,
 void canonicalizeVec(u64 *a, u64 n, u64 q);
 void mulAccVec(u64 *dst, const u64 *a, const u64 *b, u64 n,
                const Modulus &mod);
+/** One plane of macChainPair: the reference the vector pairs are
+ *  tested against, and the checked build's no-wrap audit. */
 void macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n,
                   bool store);
 void macChainPair(u64 *acc0, u64 *acc1, const u64 *a, const u64 *b0,

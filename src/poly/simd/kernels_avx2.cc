@@ -390,24 +390,6 @@ macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
 }
 
 void
-macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n, bool store)
-{
-    u64 i = 0;
-    for (; i + kLanes <= n; i += kLanes) {
-        __m256i p = _mm256_mul_epu32(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(a + i)),
-            _mm256_loadu_si256(reinterpret_cast<const __m256i *>(b + i)));
-        if (!store)
-            p = _mm256_add_epi64(
-                p, _mm256_loadu_si256(
-                       reinterpret_cast<const __m256i *>(acc + i)));
-        _mm256_storeu_si256(reinterpret_cast<__m256i *>(acc + i), p);
-    }
-    if (i < n)
-        scalar::macChainLink(acc + i, a + i, b + i, n - i, store);
-}
-
-void
 macChainPair(u64 *acc0, u64 *acc1, const u64 *a, const u64 *b0,
              const u64 *b1, u64 n, bool store0, bool store1)
 {
@@ -471,7 +453,6 @@ const Kernels kAvx2Kernels = {
     &mulVec,
     &mulShoupVec,
     &mulAccVec,
-    &macChainLink,
     &macChainPair,
     &macChainReduce,
     &macAccumulate,

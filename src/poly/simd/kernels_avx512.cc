@@ -254,28 +254,6 @@ macAccumulate(u128 *acc, const u64 *a, const u64 *b, u64 n)
 }
 
 void
-macChainLink(u64 *acc, const u64 *a, const u64 *b, u64 n, bool store)
-{
-    u64 i = 0;
-    if (store) {
-        for (; i + kLanes <= n; i += kLanes) {
-            __m512i p = _mm512_mul_epu32(_mm512_loadu_si512(a + i),
-                                         _mm512_loadu_si512(b + i));
-            _mm512_storeu_si512(acc + i, p);
-        }
-    } else {
-        for (; i + kLanes <= n; i += kLanes) {
-            __m512i p = _mm512_mul_epu32(_mm512_loadu_si512(a + i),
-                                         _mm512_loadu_si512(b + i));
-            _mm512_storeu_si512(
-                acc + i, _mm512_add_epi64(_mm512_loadu_si512(acc + i), p));
-        }
-    }
-    if (i < n)
-        scalar::macChainLink(acc + i, a + i, b + i, n - i, store);
-}
-
-void
 macChainPair(u64 *acc0, u64 *acc1, const u64 *a, const u64 *b0,
              const u64 *b1, u64 n, bool store0, bool store1)
 {
@@ -471,7 +449,6 @@ const Kernels kAvx512Kernels = {
     &mulVec,
     &mulShoupVec,
     &mulAccVec,
-    &macChainLink,
     &macChainPair,
     &macChainReduce,
     &macAccumulate,

@@ -303,7 +303,6 @@ const Kernels kScalarKernels = {
     &scalar::mulVec,
     &scalar::mulShoupVec,
     &scalar::mulAccVec,
-    &scalar::macChainLink,
     &scalar::macChainPair,
     &scalar::macChainReduce,
     &scalar::macAccumulate,

@@ -243,16 +243,11 @@ struct Kernels
 
     // Fused u64 MAC chain (see poly/kernels.hh for the chain policy).
     /**
+     * Two chain links that share their first operand: acc0 (+)= a o b0
+     * and acc1 (+)= a o b1, with a read once. Each plane takes
      * acc[i] = a[i] * b[i] (store) or acc[i] += a[i] * b[i], raw u64
      * sums with no reduction. Inputs are below 2^32 and the caller
-     * keeps the chain inside (q - 1)^2 * links + q < 2^64.
-     */
-    void (*macChainLink)(u64 *acc, const u64 *a, const u64 *b, u64 n,
-                         bool store);
-    /**
-     * Two links that share their first operand: acc0 (+)= a o b0 and
-     * acc1 (+)= a o b1, with a read once. Same contract as
-     * macChainLink for each output plane.
+     * keeps each chain inside (q - 1)^2 * links + q < 2^64.
      */
     void (*macChainPair)(u64 *acc0, u64 *acc1, const u64 *a,
                          const u64 *b0, const u64 *b1, u64 n,

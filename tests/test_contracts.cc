@@ -147,8 +147,8 @@ TEST(Contracts, MacRejectsOperandAtFusedBound)
     std::vector<u128> acc128(kN, 0);
     std::vector<u64> a(kN, 1), b(kN, 1);
     a[0] = simd::kFusedMacModulusBound; // 2^32: first value outside.
-    EXPECT_THROW(scalarK().macChainLink(acc.data(), a.data(), b.data(),
-                                        kN, false),
+    EXPECT_THROW(simd::scalar::macChainLink(acc.data(), a.data(),
+                                            b.data(), kN, false),
                  ContractViolation);
     EXPECT_THROW(
         scalarK().macAccumulate(acc128.data(), a.data(), b.data(), kN),
@@ -171,8 +171,8 @@ TEST(Contracts, MacChainRejectsAccumulatorPastBound)
     EXPECT_THROW(
         {
             for (u64 link = 0; link <= max; ++link)
-                scalarK().macChainLink(acc.data(), a.data(), b.data(),
-                                       kN, false);
+                simd::scalar::macChainLink(acc.data(), a.data(),
+                                           b.data(), kN, false);
         },
         ContractViolation);
 }
@@ -261,8 +261,8 @@ TEST(Contracts, MaximalFusedChainCleanAndExact)
         std::vector<u64> a(kN, q - 1), b(kN, q - 1);
         EXPECT_NO_THROW({
             for (u64 link = 0; link < max; ++link)
-                scalarK().macChainLink(acc.data(), a.data(), b.data(),
-                                       kN, false);
+                simd::scalar::macChainLink(acc.data(), a.data(),
+                                           b.data(), kN, false);
             scalarK().macChainReduce(acc.data(), kN, mod);
         }) << "q = " << q;
         u64 expect = mod.add(mod.mul(mod.mul(q - 1, q - 1), max % q),

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "common/rng.hh"
 #include "common/thread_pool.hh"
 #include "modmath/primes.hh"
@@ -158,33 +160,41 @@ TEST(Kernels, FusedMacOkBoundary)
 namespace {
 
 /**
- * Runs a chain of `links` links through the chain helpers on top of
- * `addend` (or storing the first link when addend is empty). Chains at
- * or past the fused edge use q - 1 operands throughout, the largest
- * sum the bound admits; shorter chains alternate maximal and random
- * links. Returns the result and the strict per-product reference.
+ * Runs two chains of `links` links through kernels::chainMacPair on
+ * top of `addend` (or storing the first link when addend is empty),
+ * sharing each link's first operand. Chains at or past the fused edge
+ * use q - 1 operands throughout, the largest sum the bound admits;
+ * shorter chains alternate maximal and random links. Returns both
+ * results, then their strict per-product references.
  */
-std::pair<std::vector<u64>, std::vector<u64>>
+std::array<std::vector<u64>, 4>
 runChain(const Modulus &mod, u64 links, u64 n,
          const std::vector<u64> &addend, Rng &rng)
 {
     const u64 q = mod.value();
-    std::vector<u64> dst = addend.empty() ? std::vector<u64>(n, ~u64{0})
-                                          : addend;
-    std::vector<u64> strict =
+    std::vector<u64> dst0 = addend.empty() ? std::vector<u64>(n, ~u64{0})
+                                           : addend;
+    std::vector<u64> dst1 = dst0;
+    std::vector<u64> strict0 =
         addend.empty() ? std::vector<u64>(n, 0) : addend;
+    std::vector<u64> strict1 = strict0;
     for (u64 c = 0; c < links; ++c) {
-        std::vector<u64> a(n, q - 1), b(n, q - 1);
+        std::vector<u64> a(n, q - 1), b0(n, q - 1), b1(n, q - 1);
         if (links < kernels::fusedMacMaxChain(q) && c % 2 == 1) {
             a = randomCanonical(n, q, rng);
-            b = randomCanonical(n, q, rng);
+            b0 = randomCanonical(n, q, rng);
+            b1 = randomCanonical(n, q, rng);
         }
-        kernels::chainMacAcc(mod, links, n, dst.data(), a.data(),
-                             b.data(), c == 0 && addend.empty());
-        kernels::mulAccVec(strict.data(), a.data(), b.data(), n, mod);
+        const bool store = c == 0 && addend.empty();
+        kernels::chainMacPair(mod, links, n, dst0.data(), dst1.data(),
+                              a.data(), b0.data(), b1.data(), store,
+                              store);
+        kernels::mulAccVec(strict0.data(), a.data(), b0.data(), n, mod);
+        kernels::mulAccVec(strict1.data(), a.data(), b1.data(), n, mod);
     }
-    kernels::chainMacFinish(mod, links, n, dst.data());
-    return {dst, strict};
+    kernels::chainMacFinish(mod, links, n, dst0.data());
+    kernels::chainMacFinish(mod, links, n, dst1.data());
+    return {dst0, dst1, strict0, strict1};
 }
 
 } // namespace
@@ -210,8 +220,12 @@ TEST(Kernels, FusedMacChainMatchesStrict)
                     addend = randomCanonical(n, q, rng);
                     addend[0] = q - 1;
                 }
-                auto [got, strict] = runChain(mod, links, n, addend, rng);
-                ASSERT_EQ(got, strict)
+                auto [got0, got1, strict0, strict1] =
+                    runChain(mod, links, n, addend, rng);
+                ASSERT_EQ(got1, strict1)
+                    << "q=" << q << " links=" << links
+                    << " addend=" << with_addend;
+                ASSERT_EQ(got0, strict0)
                     << "q=" << q << " links=" << links
                     << " fused=" << kernels::fusedMacOk(mod, links)
                     << " addend=" << with_addend;

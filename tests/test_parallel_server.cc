@@ -232,6 +232,59 @@ TEST(ParallelServer, AutomorphismMapsBuildOnceUnderConcurrentFirstUse)
     }
 }
 
+TEST(ParallelServer, ExpansionMonomialsBuildOncePerContext)
+{
+    // Engines take their expansion monomials from the context, which
+    // builds each level on first use. Engines constructed at once on
+    // host threads, racing direct lookups of every level, must all see
+    // one entry per level holding NTT(X^{-2^t}) and its Shoup
+    // companions, and answer identically (the TSan stage runs this).
+    PirParams params = smallParams(8, 2);
+    HeContext ctx(params.he);
+    PirClient client(ctx, params, 41);
+    Database db = Database::random(ctx, params, 42);
+    auto keys =
+        std::make_shared<const PirPublicKeys>(client.genPublicKeys());
+    const int depth = params.expansionDepth();
+    const PirQuery q = client.makeQuery(5);
+
+    std::vector<std::vector<const ExpansionMonomial *>> seen(4);
+    std::vector<std::vector<BfvCiphertext>> answers(seen.size());
+    std::vector<std::thread> hosts;
+    for (size_t h = 0; h < seen.size(); ++h) {
+        hosts.emplace_back([&, h] {
+            PirServer engine(ctx, params, &db, keys);
+            for (int t = 0; t < depth; ++t)
+                seen[h].push_back(&ctx.expansionMonomial(t));
+            answers[h] = engine.processAllPlanes(q);
+        });
+    }
+    for (auto &h : hosts)
+        h.join();
+
+    const Ring &ring = ctx.ring();
+    for (int t = 0; t < depth; ++t) {
+        for (size_t h = 1; h < seen.size(); ++h)
+            EXPECT_EQ(seen[h][t], seen[0][t]) << "t=" << t;
+        const ExpansionMonomial &m = *seen[0][t];
+        EXPECT_EQ(m.ntt, RnsPoly::monomialNtt(
+                             ring, -static_cast<i64>(u64{1} << t)));
+        for (int p = 0; p < ring.k(); ++p) {
+            const Modulus &mod = ring.base.modulus(p);
+            for (u64 i = 0; i < ring.n; i += 37)
+                ASSERT_EQ(m.shoup[static_cast<u64>(p) * ring.n + i],
+                          mod.shoupPrecompute(m.ntt.residues(p)[i]))
+                    << "t=" << t << " p=" << p << " i=" << i;
+        }
+    }
+    for (size_t h = 0; h < answers.size(); ++h) {
+        ASSERT_EQ(answers[h].size(), 1u);
+        EXPECT_EQ(answers[h][0].a, answers[0][0].a);
+        EXPECT_EQ(answers[h][0].b, answers[0][0].b);
+    }
+    EXPECT_EQ(client.decode(answers[0][0]), db.entryCoeffs(5));
+}
+
 TEST(ParallelServer, MultiPlaneResponsesIdenticalAcrossThreadCounts)
 {
     PirParams params = smallParams(8, 2, /*planes=*/3);

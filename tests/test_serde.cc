@@ -13,10 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <stdexcept>
 #include <string>
 
 #include "modmath/primes.hh"
 #include "pir/session.hh"
+#include "poly/simd/simd.hh"
 #include "shard/coordinator.hh"
 
 using namespace ive;
@@ -323,6 +325,141 @@ TEST(Serde, ParamsRejectsInconsistentGeometry)
     q.d = 1;
     EXPECT_THROW(deserializeParams(serializeParams(q)),
                  SerializeError);
+}
+
+namespace {
+
+/** tinyParams() with one edit applied. */
+PirParams
+tinyWith(const std::function<void(PirParams &)> &edit)
+{
+    PirParams p = tinyParams();
+    edit(p);
+    return p;
+}
+
+} // namespace
+
+TEST(Serde, ParamsBoundWalk)
+{
+    // PirParams::validate() is the one list the decoder checks params
+    // against. Each bound it shares with a constructor assert is walked
+    // from its last admitted value to its first refused one: the
+    // admitted set builds a ServerSession from its blob and ingests a
+    // client's keys without aborting; the refused set throws from
+    // validate() and from the decoder.
+    struct Edge
+    {
+        const char *bound;
+        PirParams admit;
+        PirParams refuse;
+    };
+    const u64 q0 = kIvePrimes[0], q1 = kIvePrimes[1];
+    const std::vector<u64> wide = findNttPrimes(61, 256, 3);
+    // z^l around log2 Q = 108.07 of the default primes: 22 * 5 = 110
+    // covers it, 27 * 4 = 108 does not. Two primes give log2 Q =
+    // 54.002, just above 2^34's 34 + 20 bits of noise room.
+    const double log_q = HeContext(tinyParams().he).ring().base.logQ();
+    ASSERT_GE(22.0 * 5, log_q);
+    ASSERT_LT(27.0 * 4, log_q);
+    auto gadget = [](int log_z, int ell) {
+        return tinyWith([=](PirParams &p) {
+            p.he.logZKs = p.he.logZRgsw = log_z;
+            p.he.ellKs = p.he.ellRgsw = ell;
+        });
+    };
+    auto primes = [](std::vector<u64> qs, u64 plain) {
+        return tinyWith([=](PirParams &p) {
+            p.he.primes = qs;
+            p.he.plainModulus = plain;
+        });
+    };
+    auto geometry = [](u64 n, u64 d0, int d, int ell_rgsw) {
+        return tinyWith([=](PirParams &p) {
+            p.he.n = n;
+            p.d0 = d0;
+            p.d = d;
+            p.he.ellRgsw = ell_rgsw;
+        });
+    };
+    const u64 p32 = u64{1} << 32;
+    const std::vector<Edge> edges = {
+        {"gadget base 30 vs 31", gadget(30, 4), gadget(31, 4)},
+        {"gadget length kMaxDigits vs one more",
+         gadget(13, simd::kMaxDigits), gadget(13, simd::kMaxDigits + 1)},
+        {"z^l covers Q vs not", gadget(22, 5), gadget(27, 4)},
+        {"noise room", primes({q0, q1}, u64{1} << 34),
+         primes({q0, q1}, u64{1} << 35)},
+        {"composite modulus", primes({q0, q1}, p32),
+         primes({q0, 134250495}, p32)},
+        {"duplicate prime", primes({q0, q1}, p32), primes({q0, q0}, p32)},
+        {"NTT-unfriendly prime", primes({q0, q1}, p32),
+         primes({q0, 134217757}, p32)}, // prime, 29 mod 2n
+        {"prime below 2^62 vs not", primes({q0, wide[0]}, p32),
+         primes({q0, (u64{1} << 62) + 1}, p32)},
+        {"128-bit headroom",
+         tinyWith([&](PirParams &p) {
+             p.he.primes = {wide[0], wide[1]};
+             p.he.logZKs = p.he.logZRgsw = 30;
+             p.he.ellKs = p.he.ellRgsw = 5;
+         }),
+         tinyWith([&](PirParams &p) {
+             p.he.primes = wide;
+             p.he.logZKs = p.he.logZRgsw = 30;
+             p.he.ellKs = p.he.ellRgsw = 7;
+         })},
+        {"n = 4 vs 2", geometry(4, 4, 0, 8), geometry(2, 2, 0, 8)},
+        {"usedLeaves() = n vs n + 1", geometry(64, 32, 1, 32),
+         geometry(64, 32, 1, 33)},
+    };
+    for (const Edge &e : edges) {
+        SCOPED_TRACE(e.bound);
+        EXPECT_NO_THROW(e.admit.validate());
+        ClientSession client(e.admit, 5);
+        ServerSession server(client.paramsBlob());
+        EXPECT_NO_THROW(server.ingestKeys(client.keyBlob()));
+
+        EXPECT_THROW(e.refuse.validate(), std::invalid_argument);
+        EXPECT_THROW(deserializeParams(serializeParams(e.refuse)),
+                     SerializeError);
+    }
+}
+
+TEST(Serde, ParamsMutationsDecodeOrThrow)
+{
+    // Fixed-seed 1-3 byte mutations of a small params blob: each must
+    // decode or throw SerializeError (an abort or any other exception
+    // fails the test), and each accepted blob whose database is small
+    // enough to build here must build a ServerSession.
+    PirParams base = tinyParams();
+    base.he.n = 64;
+    base.he.primes = {kIvePrimes.begin(), kIvePrimes.end()};
+    const std::vector<u8> blob = serializeParams(base);
+    constexpr u64 kMaxCoefficients = u64{1} << 16;
+    Rng rng(2024);
+    int accepted = 0, built = 0;
+    for (int i = 0; i < 20000; ++i) {
+        std::vector<u8> m = blob;
+        for (u64 j = 0, bytes = 1 + rng.uniform(3); j < bytes; ++j)
+            m[rng.uniform(m.size())] = static_cast<u8>(rng.uniform(256));
+        PirParams p;
+        try {
+            p = deserializeParams(m);
+        } catch (const SerializeError &) {
+            continue;
+        }
+        ++accepted;
+        if (static_cast<u128>(p.numEntries()) * p.planes * p.he.n >
+            kMaxCoefficients)
+            continue;
+        ServerSession server(p);
+        EXPECT_EQ(server.database().numEntries(), p.numEntries());
+        ++built;
+    }
+    EXPECT_GT(accepted, built);
+    EXPECT_GT(built, 0);
+    std::printf("params mutations: %d accepted, %d built\n", accepted,
+                built);
 }
 
 TEST(Serde, QueryRoundTripAndTruncationSweep)

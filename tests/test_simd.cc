@@ -33,6 +33,7 @@
 #include "ntt/ntt.hh"
 #include "poly/kernels.hh"
 #include "poly/poly.hh"
+#include "poly/simd/backends.hh"
 #include "poly/simd/simd.hh"
 #include "rns/gadget.hh"
 #include "rns/rns_base.hh"
@@ -269,24 +270,31 @@ TEST(Simd, MacChainMatchesScalarAcrossPrimeClasses)
     for (u64 n : {u64{3}, u64{8}, u64{11}, u64{512}}) {
         for (u64 q : sweepPrimes(256)) {
             const Modulus mod(q);
-            // Links take residues below 2^32 (the fused class); the
-            // reduction takes any u64, for every prime class.
+            // Pair links take residues below 2^32 (the fused class);
+            // the reduction takes any u64, for every prime class.
             if (q < simd::kFusedMacModulusBound) {
                 std::vector<u64> a = randomCanonical(n, q, rng);
-                std::vector<u64> b = randomCanonical(n, q, rng);
-                a[0] = q - 1;
-                b[0] = q - 1; // maximal product
-                std::vector<u64> base = randomCanonical(n, q, rng);
+                std::vector<u64> b0 = randomCanonical(n, q, rng);
+                std::vector<u64> b1 = randomCanonical(n, q, rng);
+                a[0] = b0[0] = b1[0] = q - 1; // maximal products
+                const std::vector<u64> base0 = randomCanonical(n, q, rng);
+                const std::vector<u64> base1 = randomCanonical(n, q, rng);
                 for (const simd::Kernels *k : allBackends()) {
-                    for (bool store : {true, false}) {
-                        std::vector<u64> got = base, want = base;
-                        k->macChainLink(got.data(), a.data(), b.data(), n,
-                                        store);
-                        scalarK().macChainLink(want.data(), a.data(),
-                                               b.data(), n, store);
-                        ASSERT_EQ(got, want) << k->name << " link n=" << n
-                                             << " q=" << q
-                                             << " store=" << store;
+                    for (int flags = 0; flags < 4; ++flags) {
+                        const bool s0 = flags & 1, s1 = flags & 2;
+                        std::vector<u64> got0 = base0, got1 = base1;
+                        std::vector<u64> want0 = base0, want1 = base1;
+                        k->macChainPair(got0.data(), got1.data(), a.data(),
+                                        b0.data(), b1.data(), n, s0, s1);
+                        scalarK().macChainPair(want0.data(), want1.data(),
+                                               a.data(), b0.data(),
+                                               b1.data(), n, s0, s1);
+                        ASSERT_EQ(got0, want0)
+                            << k->name << " pair n=" << n << " q=" << q
+                            << " s0=" << s0 << " s1=" << s1;
+                        ASSERT_EQ(got1, want1)
+                            << k->name << " pair n=" << n << " q=" << q
+                            << " s0=" << s0 << " s1=" << s1;
                     }
                 }
             }
@@ -664,10 +672,10 @@ TEST(Simd, MacChainPairEqualsTwoLinks)
         for (bool s0 : {false, true}) {
             for (bool s1 : {false, true}) {
                 std::vector<u64> want0 = base0, want1 = base1;
-                scalarK().macChainLink(want0.data(), a.data(), b0.data(),
-                                       n, s0);
-                scalarK().macChainLink(want1.data(), a.data(), b1.data(),
-                                       n, s1);
+                simd::scalar::macChainLink(want0.data(), a.data(),
+                                           b0.data(), n, s0);
+                simd::scalar::macChainLink(want1.data(), a.data(),
+                                           b1.data(), n, s1);
                 for (const simd::Kernels *k : allBackends()) {
                     std::vector<u64> got0 = base0, got1 = base1;
                     k->macChainPair(got0.data(), got1.data(), a.data(),
@@ -681,9 +689,9 @@ TEST(Simd, MacChainPairEqualsTwoLinks)
         }
     }
 
-    // The chain policy: kernels::chainMacPair against two chainMacAcc
-    // chains and a canonical reference, for a fused prime and one past
-    // the fused bound (strict), with and without a canonical addend.
+    // The chain policy: kernels::chainMacPair against a canonical
+    // reference, for a fused prime and one past the fused bound
+    // (strict), with and without a canonical addend.
     const u64 n = 64;
     const u64 links = 9;
     for (u64 q : {kIvePrimes[0], primeOf(33, n)}) {
@@ -700,22 +708,15 @@ TEST(Simd, MacChainPairEqualsTwoLinks)
             const std::vector<u64> init0 = randomCanonical(n, q, rng);
             const std::vector<u64> init1 = randomCanonical(n, q, rng);
             std::vector<u64> pair0 = init0, pair1 = init1;
-            std::vector<u64> two0 = init0, two1 = init1;
             for (u64 l = 0; l < links; ++l) {
                 const bool store = !addend && l == 0;
                 kernels::chainMacPair(mod, links, n, pair0.data(),
                                       pair1.data(), a[l].data(),
                                       b0[l].data(), b1[l].data(), store,
                                       store);
-                kernels::chainMacAcc(mod, links, n, two0.data(),
-                                     a[l].data(), b0[l].data(), store);
-                kernels::chainMacAcc(mod, links, n, two1.data(),
-                                     a[l].data(), b1[l].data(), store);
             }
-            for (std::vector<u64> *v : {&pair0, &pair1, &two0, &two1})
+            for (std::vector<u64> *v : {&pair0, &pair1})
                 kernels::chainMacFinish(mod, links, n, v->data());
-            ASSERT_EQ(pair0, two0) << "q=" << q << " addend=" << addend;
-            ASSERT_EQ(pair1, two1) << "q=" << q << " addend=" << addend;
             for (u64 i = 0; i < n; ++i) {
                 u64 r0 = addend ? init0[i] : 0, r1 = addend ? init1[i] : 0;
                 for (u64 l = 0; l < links; ++l) {
