@@ -55,6 +55,13 @@ Rules (each line reports as ``path:line: [rule] message``):
                       (PirParams::validate throws
                       std::invalid_argument), so its caller can refuse
                       it and keep serving.
+  session-view        PirRegisterKeys::paramsBlob / keyBlob and
+                      PirQueryRef::queryBlob are views (pir/wire.hh).
+                      Assigning a call's result to one (``ref.queryBlob
+                      = cl.queryBlob(0);``) keeps a view of a temporary
+                      that dies at the end of the statement. Hold the
+                      bytes in a named object and assign that. Checked
+                      in src/, tests/, bench/ and examples/.
 
 Escape hatch: a finding is suppressed when the flagged line, or the
 line directly above it, carries
@@ -121,6 +128,12 @@ INCLUDE_RE = re.compile(r"^\s*#\s*include\b")
 SERVING_INCLUDE_RE = re.compile(
     r'^\s*#\s*include\s*[<"](?:sim|system|model)/')
 SERVING_FATAL_RE = re.compile(r"(?<![A-Za-z0-9_])fatal\s*\(")
+# An assignment (not a comparison) to a session-frame view whose
+# right-hand side, up to the end of the statement, calls something.
+SESSION_VIEW_RE = re.compile(
+    r"\.\s*(?:paramsBlob|keyBlob|queryBlob)\s*=(?!=)[^;]*\(")
+SESSION_VIEW_START_RE = re.compile(
+    r"\.\s*(?:paramsBlob|keyBlob|queryBlob)\s*=(?!=)")
 GUARD_IFNDEF_RE = re.compile(r"^\s*#\s*ifndef\s+(IVE_\w+_HH)\s*$", re.M)
 GUARD_DEFINE_RE = re.compile(r"^\s*#\s*define\s+(IVE_\w+_HH)\s*$", re.M)
 
@@ -137,6 +150,7 @@ ALL_RULES = (
     "raw-socket",
     "serving-layering",
     "serving-fatal",
+    "session-view",
 )
 
 
@@ -196,6 +210,17 @@ def strip_code(text: str) -> list[str]:
     return "".join(out).split("\n")
 
 
+def statement_from(code_lines: list[str], idx: int) -> str:
+    """code_lines[idx] joined with the lines after it up to the first
+    semicolon, so a rule can see a statement that wraps."""
+    parts = []
+    for line in code_lines[idx:]:
+        parts.append(line)
+        if ";" in line:
+            break
+    return " ".join(parts)
+
+
 class Findings:
     def __init__(self) -> None:
         self.errors: list[str] = []
@@ -224,8 +249,11 @@ def check_line_rule(
     rule: str,
     pattern: re.Pattern[str],
     msg: str,
+    code: str | None = None,
 ) -> None:
-    if not pattern.search(code_lines[idx]):
+    """Reports line idx when pattern matches it (or the given code
+    text, for rules that read past the line)."""
+    if not pattern.search(code_lines[idx] if code is None else code):
         return
     allows = allows_on(raw_lines, idx)
     if rule in allows:
@@ -299,6 +327,15 @@ def lint_file(f: Findings, root: Path, path: Path) -> None:
         check_line_rule(
             f, rel, raw_lines, code_lines, idx, "using-namespace-std",
             USING_STD_RE, "'using namespace std' is banned")
+        # An assignment may wrap: match the statement from the line
+        # it starts on to its semicolon.
+        if SESSION_VIEW_START_RE.search(code_lines[idx]):
+            check_line_rule(
+                f, rel, raw_lines, code_lines, idx, "session-view",
+                SESSION_VIEW_RE,
+                "a session-frame view assigned a call's result outlives "
+                "the temporary; hold the bytes in a named object",
+                code=statement_from(code_lines, idx))
 
     if in_src and rel.endswith(".hh"):
         guards = GUARD_IFNDEF_RE.findall(text)
@@ -438,6 +475,18 @@ def self_test() -> int:
          'fatal("bad port");\n', None),
         ("src/sim/x.cc", 'fatal("bad params");\n', None),
         ("src/shard/x.cc", "// fatal() would exit here\n", None),
+        # Session-frame views never hold a call's temporary.
+        ("tests/t.cc", "ref.queryBlob = cl.queryBlob(0);\n",
+         "session-view"),
+        ("tests/t.cc", "ref.queryBlob = qblob;\n", None),
+        ("src/net/x.cc", "reg.keyBlob =\n    makeKeys(ctx);\n",
+         "session-view"),
+        ("bench/b.cc",
+         "// lint: allow(session-view) -- returns a reference to a "
+         "member\n"
+         "reg.keyBlob = session.storedKeys();\n", None),
+        ("tests/t.cc", "// ref.queryBlob = cl.queryBlob(0);\n", None),
+        ("tests/t.cc", "EXPECT_TRUE(back.keyBlob == keys());\n", None),
     ]
 
     failures = 0

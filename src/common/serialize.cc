@@ -36,17 +36,6 @@ ByteReader::readU64Span(std::span<u64> out)
 }
 
 void
-ByteReader::readBytes(std::span<u8> out)
-{
-    if (out.empty())
-        return;
-    need(out.size(), "byte span");
-    // lint: allow(unchecked-serialize) -- need() above proved out.size() bytes remain; this IS the ByteReader bulk primitive
-    std::memcpy(out.data(), data_.data() + pos_, out.size());
-    pos_ += out.size();
-}
-
-void
 ByteWriter::writeHeader(WireKind kind)
 {
     writeBytes(kWireMagic);

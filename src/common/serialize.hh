@@ -133,10 +133,17 @@ class ByteReader
     void readU64Span(std::span<u64> out);
 
     /**
-     * Bulk copy of out.size() raw bytes, bounds-checked as a whole
-     * before any byte is copied. Equivalent to a readU8 loop.
+     * A view of the next n raw bytes, bounds-checked as a whole. It
+     * borrows the reader's input, so it is valid as long as that is.
      */
-    void readBytes(std::span<u8> out);
+    std::span<const u8>
+    readView(size_t n)
+    {
+        need(n, "byte span");
+        std::span<const u8> view = data_.subspan(pos_, n);
+        pos_ += n;
+        return view;
+    }
 
     /**
      * Validates magic, version, and kind; throws SerializeError with a

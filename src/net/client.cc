@@ -84,19 +84,55 @@ PirTcpClient::~PirTcpClient()
 void
 PirTcpClient::sendFrame(std::span<const u8> payload)
 {
-    std::vector<u8> frame = encodeFrame(payload);
-    sendRaw(frame);
+    sendPieces(std::span(&payload, 1));
 }
 
 void
 PirTcpClient::sendRaw(std::span<const u8> bytes)
 {
-    size_t off = 0;
-    while (off < bytes.size()) {
-        ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                           MSG_NOSIGNAL);
+    iovec iov{const_cast<u8 *>(bytes.data()), bytes.size()};
+    sendIov(std::span(&iov, 1));
+}
+
+void
+PirTcpClient::sendPieces(std::span<const std::span<const u8>> payload)
+{
+    u64 bytes = 0;
+    for (std::span<const u8> piece : payload)
+        bytes += piece.size();
+    std::array<u8, kFrameHeaderBytes> header = frameHeader(bytes);
+    std::vector<iovec> iov;
+    iov.reserve(payload.size() + 1);
+    iov.push_back(iovec{header.data(), header.size()});
+    for (std::span<const u8> piece : payload)
+        iov.push_back(iovec{const_cast<u8 *>(piece.data()), piece.size()});
+    sendIov(iov);
+}
+
+void
+PirTcpClient::sendIov(std::span<iovec> iov)
+{
+    for (;;) {
+        while (!iov.empty() && iov.front().iov_len == 0)
+            iov = iov.subspan(1);
+        if (iov.empty())
+            return;
+        msghdr msg{};
+        msg.msg_iov = iov.data();
+        msg.msg_iovlen = iov.size();
+        ssize_t n = ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
         if (n > 0) {
-            off += static_cast<size_t>(n);
+            // Drop the fully sent iovecs; trim the one sent in part.
+            size_t sent = static_cast<size_t>(n);
+            while (sent >= iov.front().iov_len) {
+                sent -= iov.front().iov_len;
+                iov = iov.subspan(1);
+                if (iov.empty())
+                    return;
+            }
+            iov.front().iov_base =
+                static_cast<u8 *>(iov.front().iov_base) + sent;
+            iov.front().iov_len -= sent;
         } else if (n < 0 && errno == EINTR) {
             continue;
         } else if (n < 0 &&
@@ -137,9 +173,9 @@ PirTcpClient::recvFrame()
 }
 
 std::vector<u8>
-PirTcpClient::roundTrip(std::span<const u8> payload)
+PirTcpClient::roundTrip(std::span<const std::span<const u8>> payload)
 {
-    sendFrame(payload);
+    sendPieces(payload);
     std::vector<u8> resp = recvFrame();
     if (peekWireKind(resp) == WireKind::ErrorResponse)
         throwErrorResponse(deserializeErrorResponse(resp));
@@ -149,10 +185,9 @@ PirTcpClient::roundTrip(std::span<const u8> payload)
 PirHello
 PirTcpClient::hello(u64 client_id)
 {
-    PirHello h;
-    h.clientId = client_id;
-    h.generation = 0;
-    return deserializeHello(roundTrip(serializeHello(h)));
+    std::vector<u8> blob = serializeHello(PirHello{client_id, 0});
+    std::span<const u8> payload = blob;
+    return deserializeHello(roundTrip(std::span(&payload, 1)));
 }
 
 u64
@@ -160,12 +195,9 @@ PirTcpClient::registerKeys(u64 client_id,
                            std::span<const u8> params_blob,
                            std::span<const u8> key_blob)
 {
-    PirRegisterKeys reg;
-    reg.clientId = client_id;
-    reg.paramsBlob.assign(params_blob.begin(), params_blob.end());
-    reg.keyBlob.assign(key_blob.begin(), key_blob.end());
-    PirHello ack =
-        deserializeHello(roundTrip(serializeRegisterKeys(reg)));
+    WirePieces frame = registerKeysPieces(
+        PirRegisterKeys{client_id, params_blob, key_blob});
+    PirHello ack = deserializeHello(roundTrip(frame.pieces()));
     if (ack.clientId != client_id)
         throw Error(strprintf(
             "register ack for client %llu, expected %llu",
@@ -178,11 +210,9 @@ std::vector<u8>
 PirTcpClient::query(u64 client_id, u64 generation,
                     std::span<const u8> query_blob)
 {
-    PirQueryRef ref;
-    ref.clientId = client_id;
-    ref.generation = generation;
-    ref.queryBlob.assign(query_blob.begin(), query_blob.end());
-    return roundTrip(serializeQueryRef(ref));
+    WirePieces frame =
+        queryRefPieces(PirQueryRef{client_id, generation, query_blob});
+    return roundTrip(frame.pieces());
 }
 
 } // namespace ive::net

@@ -10,6 +10,11 @@
  * SO_SNDTIMEO — a hung server surfaces as DeadlineExceeded, never a
  * stuck test.
  *
+ * registerKeys and query send their frame with one gather write: a
+ * small owned prefix (frame length, wire header, ids, nested lengths)
+ * and the caller's blobs in place, so no blob byte is copied in user
+ * space on the way to the socket.
+ *
  * The low-level sendFrame / sendRaw / recvFrame surface exists for
  * hostility tests (oversized frames, garbage magic, half-sent frames)
  * and for pipelining experiments; the high-level calls are strictly
@@ -18,6 +23,8 @@
 
 #ifndef IVE_NET_CLIENT_HH
 #define IVE_NET_CLIENT_HH
+
+#include <sys/uio.h>
 
 #include <string>
 
@@ -71,8 +78,15 @@ class PirTcpClient
     bool closed() const { return closed_; }
 
   private:
-    /** sendFrame + recvFrame, mapping ErrorResponse to a throw. */
-    std::vector<u8> roundTrip(std::span<const u8> payload);
+    /** Frames the concatenated pieces; one gather write sends all. */
+    void sendPieces(std::span<const std::span<const u8>> payload);
+    /** Sends every byte of iov, resuming a partial send at any byte
+     *  (across iovec boundaries); a send timeout throws
+     *  DeadlineExceeded. */
+    void sendIov(std::span<iovec> iov);
+    /** sendPieces + recvFrame, mapping ErrorResponse to a throw. */
+    std::vector<u8>
+    roundTrip(std::span<const std::span<const u8>> payload);
 
     int fd_ = -1;
     FrameCodec codec_;

@@ -9,17 +9,26 @@
  * every parsing edge (split length prefix, frame spanning many reads,
  * several frames in one read) is unit-testable without a socket.
  *
+ * Each frame's payload lands in one buffer, reserved at its validated
+ * header and filled as bytes arrive; next() hands that buffer over by
+ * move. The 4 header bytes never enter it, and a finished frame leaves
+ * no capacity behind in the codec.
+ *
  * Defensive posture: the declared length is validated against a hard
- * maximum BEFORE any payload byte is buffered, so a hostile 4-byte
- * header can never drive a giant allocation, and a zero-length frame
- * (which could spin a read loop forever) is rejected outright. After
- * a FrameError the codec is poisoned and must be discarded — the
- * stream has no recoverable sync point once framing is wrong.
+ * maximum BEFORE any payload byte is buffered. A validated header
+ * reserves at most maxFrameBytes of address space; it becomes resident
+ * only as bytes arrive, and the server's slowloris deadline frees it.
+ * A zero-length frame (which could spin a read loop forever) is
+ * rejected outright. After a FrameError the codec is poisoned and must
+ * be discarded — the stream has no recoverable sync point once framing
+ * is wrong.
  */
 
 #ifndef IVE_NET_FRAME_HH
 #define IVE_NET_FRAME_HH
 
+#include <array>
+#include <deque>
 #include <optional>
 #include <span>
 #include <vector>
@@ -45,6 +54,10 @@ inline constexpr size_t kFrameHeaderBytes = 4;
  *  legitimate blob — a paper-scale key upload — with headroom). */
 inline constexpr u64 kDefaultMaxFrameBytes = u64{64} << 20;
 
+/** The length prefix of a payload_bytes-long frame. Throws
+ *  std::invalid_argument on 0 or > u32-max (those cannot be framed). */
+std::array<u8, kFrameHeaderBytes> frameHeader(u64 payload_bytes);
+
 /** Appends length prefix + payload to out (the encode direction). */
 void appendFrame(std::vector<u8> &out, std::span<const u8> payload);
 
@@ -57,7 +70,11 @@ class FrameCodec
   public:
     explicit FrameCodec(u64 max_frame_bytes = kDefaultMaxFrameBytes);
 
-    /** Buffers raw stream bytes (throws FrameError if poisoned). */
+    /**
+     * Consumes raw stream bytes (throws FrameError if poisoned). Bytes
+     * past a frame's end start the next frame; bytes past a rejected
+     * header are dropped.
+     */
     void feed(std::span<const u8> bytes);
 
     /**
@@ -67,8 +84,13 @@ class FrameCodec
      */
     std::optional<std::vector<u8>> next();
 
-    /** Bytes buffered but not yet returned by next(). */
-    size_t buffered() const { return buf_.size() - pos_; }
+    /** Bytes buffered but not yet returned by next(), headers
+     *  included. */
+    size_t
+    buffered() const
+    {
+        return doneBytes_ + headerLen_ + payload_.size();
+    }
 
     /**
      * True while a frame has started arriving (length prefix or
@@ -89,9 +111,16 @@ class FrameCodec
     u64 maxFrameBytes() const { return max_; }
 
   private:
+    /** The current frame's declared length (header complete). */
+    u32 declaredLength() const;
+
     u64 max_;
-    std::vector<u8> buf_;
-    size_t pos_ = 0; ///< Consumed prefix of buf_ (compacted lazily).
+    std::deque<std::vector<u8>> done_; ///< Complete payloads, in order.
+    size_t doneBytes_ = 0; ///< Their bytes, headers included.
+    std::array<u8, kFrameHeaderBytes> header_{}; ///< Current frame's.
+    size_t headerLen_ = 0;     ///< Header bytes received so far.
+    std::vector<u8> payload_;  ///< Current frame's payload so far.
+    bool badHeader_ = false;   ///< A rejected header waits for next().
     bool poisoned_ = false;
 };
 

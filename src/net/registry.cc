@@ -58,9 +58,18 @@ SessionRegistry::registerClient(u64 client_id,
                                 std::span<const u8> key_blob)
 {
     // All the expensive and throwing work happens before the lock:
-    // params equality via the canonical encoding (two PirParams are
-    // the same deployment iff their wire forms match), then key
-    // decoding (structure, schedule, NTT form) + engine construction.
+    // the budget check first (an upload that can never fit pays no
+    // decode), params equality via the canonical encoding (two
+    // PirParams are the same deployment iff their wire forms match),
+    // then key decoding (structure, schedule, NTT form) + engine
+    // construction.
+    u64 bytes = key_blob.size();
+    if (bytes > cfg_.memoryBudgetBytes)
+        throw Overloaded(strprintf(
+            "registry: one session of %llu bytes exceeds the %llu-byte "
+            "budget",
+            static_cast<unsigned long long>(bytes),
+            static_cast<unsigned long long>(cfg_.memoryBudgetBytes)));
     PirParams client_params = deserializeParams(params_blob);
     std::vector<u8> canonical = serializeParams(client_params);
     if (canonical.size() != canonicalParams_.size() ||
@@ -70,13 +79,6 @@ SessionRegistry::registerClient(u64 client_id,
             "registry: client params do not match this deployment");
     auto keys = std::make_shared<const PirPublicKeys>(
         deserializePublicKeys(ctx_, params_, key_blob));
-    u64 bytes = key_blob.size();
-    if (bytes > cfg_.memoryBudgetBytes)
-        throw Overloaded(strprintf(
-            "registry: one session of %llu bytes exceeds the %llu-byte "
-            "budget",
-            static_cast<unsigned long long>(bytes),
-            static_cast<unsigned long long>(cfg_.memoryBudgetBytes)));
     auto engine = std::make_shared<const PirServer>(ctx_, params_, db_,
                                                     std::move(keys));
 

@@ -100,7 +100,8 @@ class SessionRegistry
      * (replacing any live registration for the id), LRU-evicts until
      * the budget and session cap hold, and returns the new
      * generation. Throws SerializeError on malformed/mismatched
-     * blobs, Overloaded when the session alone exceeds the budget.
+     * blobs, Overloaded when the session alone exceeds the budget
+     * (checked first, so such an upload is never decoded).
      */
     u64 registerClient(u64 client_id, std::span<const u8> params_blob,
                        std::span<const u8> key_blob) IVE_EXCLUDES(mu_);

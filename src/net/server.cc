@@ -599,11 +599,13 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
         // and not behind the query window. All of it is serial (no
         // parallelFor), so it never takes the pool's one batch slot,
         // which would make a concurrent query's parallelFor run inline.
+        // The payload moves into the lane; the thunk decodes views
+        // into it, so the registry reads the blobs where they landed.
         ++c.inFlight;
         registrations_.submit(
             std::move(payload),
-            [this](const std::vector<u8> &blob) -> std::vector<u8> {
-                PirRegisterKeys reg = deserializeRegisterKeys(blob);
+            [this](const std::vector<u8> &frame) -> std::vector<u8> {
+                PirRegisterKeys reg = deserializeRegisterKeys(frame);
                 u64 gen = registry_.registerClient(
                     reg.clientId, reg.paramsBlob, reg.keyBlob);
                 return serializeHello(PirHello{reg.clientId, gen});
@@ -639,11 +641,17 @@ PirTcpServer::handleFrame(Connection &c, std::vector<u8> payload)
         ++c.inFlight;
         // The same answer path ServerSession::answer() runs, bound to
         // this client's registered engine. The engine shared_ptr pins
-        // it across a concurrent LRU eviction.
+        // it across a concurrent LRU eviction. The whole payload rides
+        // the dispatcher and the thunk answers from the query's place
+        // in it, so the query bytes are not copied.
+        const size_t at =
+            static_cast<size_t>(ref.queryBlob.data() - payload.data());
+        const size_t len = ref.queryBlob.size();
         dispatcher_.submit(
-            std::move(ref.queryBlob),
-            [engine](const std::vector<u8> &blob) {
-                return answerQuery(*engine, blob);
+            std::move(payload),
+            [engine, at, len](const std::vector<u8> &frame) {
+                return answerQuery(*engine,
+                                   std::span(frame).subspan(at, len));
             },
             completionFor(c.id, seq));
         return true;

@@ -15,7 +15,10 @@
  *
  * Query flow: socket -> FrameCodec -> SessionRegistry lookup ->
  * ShardDispatcher thunk -> answerQuery(engine, blob) -> ordered
- * write-back. answerQuery (pir/session.hh) is the one answer path
+ * write-back. Each request byte is copied once in user space, from
+ * the recv chunk into its frame's payload buffer; that buffer then
+ * moves to the dispatcher, and the decoders read views into it.
+ * answerQuery (pir/session.hh) is the one answer path
  * ServerSession::answer() runs too, so a socket client and an
  * in-process caller see identical bytes, and a socket query records
  * the same trace, stage spans and session byte counters.
@@ -37,8 +40,10 @@
  *                  ive_net_deadline_closes_total.
  *   hostile input  framing violations (oversized/zero length) and
  *                  malformed payloads produce one typed ErrorResponse
- *                  and a connection close — never a crash or an
- *                  attacker-sized allocation (net/frame.hh).
+ *                  and a connection close — never a crash. A validated
+ *                  header reserves at most maxFrameBytes of address
+ *                  space; it becomes resident only as bytes arrive,
+ *                  and the slowloris deadline frees it (net/frame.hh).
  *   lifecycle      drain() stops accepting, rejects new work with
  *                  ShuttingDown, finishes in-flight queries, flushes
  *                  write queues under drainDeadlineSec, then closes.

@@ -28,8 +28,8 @@ constexpr u128 kMaxDbWireBytes = u128{1} << 36;
 /**
  * Cap on a nested blob (params/keys/query) inside a session-protocol
  * frame. Real key blobs are tens of MiB at paper parameters; 1 GiB
- * bounds what a hostile length field can ask the decoder to allocate
- * (readCount additionally proves the bytes are actually present).
+ * bounds what a hostile length field can claim (readCount additionally
+ * proves the bytes are actually present).
  */
 constexpr u64 kMaxNestedBlobBytes = u64{1} << 30;
 
@@ -254,22 +254,22 @@ deserializePartialResponse(const HeContext &ctx,
 
 namespace {
 
-/** Writes a length-prefixed nested blob into a session frame. */
+/** Writes a length-prefixed nested blob, borrowed, into a frame. */
 void
-writeNestedBlob(ByteWriter &w, std::span<const u8> blob)
+writeNestedBlob(WirePieces &frame, std::span<const u8> blob)
 {
-    w.writeU64(blob.size());
-    w.writeBytes(blob);
+    frame.fields().writeU64(blob.size());
+    frame.borrow(blob);
 }
 
 /**
- * Reads a length-prefixed nested blob. The declared length is checked
- * against the remaining frame bytes before any allocation, and a
+ * Reads a length-prefixed nested blob as a view into the frame. The
+ * declared length is checked against the remaining frame bytes, and a
  * nested blob must at least hold a wire header — an empty or
  * sub-header "blob" can only be garbage, so it is rejected here
  * instead of deep in a crypto deserializer.
  */
-std::vector<u8>
+std::span<const u8>
 readNestedBlob(ByteReader &r, const char *what)
 {
     u64 len = r.readCount(kMaxNestedBlobBytes, 1, what);
@@ -277,9 +277,7 @@ readNestedBlob(ByteReader &r, const char *what)
         r.fail(strprintf("%s of %llu bytes is too short to be a "
                          "framed blob",
                          what, static_cast<unsigned long long>(len)));
-    std::vector<u8> blob(len);
-    r.readBytes(blob);
-    return blob;
+    return r.readView(len);
 }
 
 } // namespace
@@ -306,15 +304,60 @@ deserializeHello(std::span<const u8> blob)
     return hello;
 }
 
+void
+WirePieces::borrow(std::span<const u8> blob)
+{
+    borrowed_.push_back(Borrowed{fields_.buffer().size(), blob});
+}
+
+std::vector<std::span<const u8>>
+WirePieces::pieces() const
+{
+    std::span<const u8> fields = fields_.buffer();
+    std::vector<std::span<const u8>> out;
+    auto add = [&out](std::span<const u8> piece) {
+        if (!piece.empty())
+            out.push_back(piece);
+    };
+    size_t from = 0;
+    for (const Borrowed &b : borrowed_) {
+        add(fields.subspan(from, b.at - from));
+        add(b.blob);
+        from = b.at;
+    }
+    add(fields.subspan(from));
+    return out;
+}
+
+std::vector<u8>
+WirePieces::flatten() const
+{
+    std::vector<std::span<const u8>> all = pieces();
+    size_t bytes = 0;
+    for (std::span<const u8> piece : all)
+        bytes += piece.size();
+    std::vector<u8> out;
+    out.reserve(bytes);
+    for (std::span<const u8> piece : all)
+        out.insert(out.end(), piece.begin(), piece.end());
+    return out;
+}
+
+WirePieces
+registerKeysPieces(const PirRegisterKeys &reg)
+{
+    WirePieces frame;
+    frame.fields().writeHeader(WireKind::RegisterKeys);
+    frame.fields().writeU64(reg.clientId);
+    writeNestedBlob(frame, reg.paramsBlob);
+    writeNestedBlob(frame, reg.keyBlob);
+    return frame;
+}
+
 std::vector<u8>
 serializeRegisterKeys(const PirRegisterKeys &reg)
 {
-    ByteWriter w;
-    w.writeHeader(WireKind::RegisterKeys);
-    w.writeU64(reg.clientId);
-    writeNestedBlob(w, reg.paramsBlob);
-    writeNestedBlob(w, reg.keyBlob);
-    return w.take();
+    return registerKeysPieces(reg).flatten();
 }
 
 PirRegisterKeys
@@ -322,23 +365,28 @@ deserializeRegisterKeys(std::span<const u8> blob)
 {
     ByteReader r(blob);
     r.readHeader(WireKind::RegisterKeys);
-    PirRegisterKeys reg;
-    reg.clientId = r.readU64();
-    reg.paramsBlob = readNestedBlob(r, "params blob byte");
-    reg.keyBlob = readNestedBlob(r, "key blob byte");
+    // Braced initializers evaluate in order: the fields' wire order.
+    PirRegisterKeys reg{r.readU64(), readNestedBlob(r, "params blob byte"),
+                        readNestedBlob(r, "key blob byte")};
     r.expectEnd();
     return reg;
+}
+
+WirePieces
+queryRefPieces(const PirQueryRef &ref)
+{
+    WirePieces frame;
+    frame.fields().writeHeader(WireKind::QueryRef);
+    frame.fields().writeU64(ref.clientId);
+    frame.fields().writeU64(ref.generation);
+    writeNestedBlob(frame, ref.queryBlob);
+    return frame;
 }
 
 std::vector<u8>
 serializeQueryRef(const PirQueryRef &ref)
 {
-    ByteWriter w;
-    w.writeHeader(WireKind::QueryRef);
-    w.writeU64(ref.clientId);
-    w.writeU64(ref.generation);
-    writeNestedBlob(w, ref.queryBlob);
-    return w.take();
+    return queryRefPieces(ref).flatten();
 }
 
 PirQueryRef
@@ -346,10 +394,8 @@ deserializeQueryRef(std::span<const u8> blob)
 {
     ByteReader r(blob);
     r.readHeader(WireKind::QueryRef);
-    PirQueryRef ref;
-    ref.clientId = r.readU64();
-    ref.generation = r.readU64();
-    ref.queryBlob = readNestedBlob(r, "query blob byte");
+    PirQueryRef ref{r.readU64(), r.readU64(),
+                    readNestedBlob(r, "query blob byte")};
     r.expectEnd();
     return ref;
 }

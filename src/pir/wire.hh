@@ -83,6 +83,13 @@ deserializePartialResponse(const HeContext &ctx,
  * strings, so the net layer can route a frame without a HeContext; the
  * crypto-bearing payloads are validated by the nested deserializers
  * once the frame reaches the session registry / query engine.
+ *
+ * The nested blobs of PirRegisterKeys and PirQueryRef are views, so a
+ * blob moves once between its owner and its decoder: encoding borrows
+ * them from the caller, decoding points them into the decoded frame.
+ * Lifetime rule: the bytes a view names must outlive the struct. Hold
+ * them in a named object; a view assigned from a call's temporary
+ * result dangles (lint rule session-view flags that assignment).
  */
 
 /**
@@ -102,26 +109,64 @@ struct PirHello
  * One-time key upload (SealPIR's set_galois_key(client_id, keys)
  * pattern): the client's Params and PublicKeys blobs, registered
  * under clientId so later queries can reference the id instead of
- * re-shipping megabytes of keys.
+ * re-shipping megabytes of keys. Both blobs are views (see above).
  */
 struct PirRegisterKeys
 {
     u64 clientId = 0;
-    std::vector<u8> paramsBlob;
-    std::vector<u8> keyBlob;
+    std::span<const u8> paramsBlob;
+    std::span<const u8> keyBlob;
 };
 
 /**
  * A query referencing previously registered keys. generation must
  * match the registry's current generation for clientId — a client
  * that was LRU-evicted and re-registered gets a new generation, so a
- * stale reference can never be served with the wrong keys.
+ * stale reference can never be served with the wrong keys. The query
+ * blob is a view (see above).
  */
 struct PirQueryRef
 {
     u64 clientId = 0;
     u64 generation = 0;
-    std::vector<u8> queryBlob;
+    std::span<const u8> queryBlob;
+};
+
+/**
+ * A session frame as a gather list: the encoder's own fields (wire
+ * header, ids, nested-blob lengths) in one owned buffer, with each
+ * nested blob borrowed in place between them. The TCP client sends
+ * pieces() with one gather write, so a caller's blob is never copied
+ * in user space; serializeRegisterKeys / serializeQueryRef return
+ * flatten() of the same encoder's pieces, so both write the same
+ * bytes. The borrowed blobs must outlive the object.
+ */
+class WirePieces
+{
+  public:
+    /** Appends to the encoder's own fields. */
+    ByteWriter &fields() { return fields_; }
+
+    /** Borrows blob, placed after the fields written so far. */
+    void borrow(std::span<const u8> blob);
+
+    /** The frame in wire order, empty pieces left out; they point
+     *  into this object and into the borrowed blobs. */
+    std::vector<std::span<const u8>> pieces() const;
+
+    /** The pieces concatenated into one buffer. */
+    std::vector<u8> flatten() const;
+
+  private:
+    /** A borrowed blob and the fields_ offset it follows. */
+    struct Borrowed
+    {
+        size_t at = 0;
+        std::span<const u8> blob;
+    };
+
+    ByteWriter fields_;
+    std::vector<Borrowed> borrowed_;
 };
 
 /** Typed failure codes carried by an ErrorResponse frame. */
@@ -155,10 +200,16 @@ struct PirErrorResponse
 std::vector<u8> serializeHello(const PirHello &hello);
 PirHello deserializeHello(std::span<const u8> blob);
 
+/** The one RegisterKeys encoder; serializeRegisterKeys flattens it. */
+WirePieces registerKeysPieces(const PirRegisterKeys &reg);
 std::vector<u8> serializeRegisterKeys(const PirRegisterKeys &reg);
+/** The returned views point into blob. */
 PirRegisterKeys deserializeRegisterKeys(std::span<const u8> blob);
 
+/** The one QueryRef encoder; serializeQueryRef flattens it. */
+WirePieces queryRefPieces(const PirQueryRef &ref);
 std::vector<u8> serializeQueryRef(const PirQueryRef &ref);
+/** The returned view points into blob. */
 PirQueryRef deserializeQueryRef(std::span<const u8> blob);
 
 std::vector<u8> serializeErrorResponse(const PirErrorResponse &err);

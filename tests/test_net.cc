@@ -17,9 +17,16 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <deque>
+#include <fstream>
 #include <future>
 #include <optional>
 #include <thread>
@@ -116,6 +123,112 @@ struct FailpointGuard
     ~FailpointGuard() { fail::disarmAll(); }
 };
 
+/** This process's resident set, from /proc/self/statm. */
+i64
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    i64 size = 0, resident = 0;
+    statm >> size >> resident;
+    return resident * static_cast<i64>(::sysconf(_SC_PAGESIZE));
+}
+
+/**
+ * A plain accepting socket on a loopback port: what a client sends
+ * arrives here exactly as written, with no codec in between. Accepts
+ * and reads give up after 10 s, so a failed client cannot hang a test.
+ */
+class RawPeer
+{
+  public:
+    /** rcvbuf > 0 shrinks the receive buffer accepted sockets get. */
+    explicit RawPeer(int rcvbuf = 0)
+    {
+        listen_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+        if (rcvbuf > 0)
+            (void)::setsockopt(listen_, SOL_SOCKET, SO_RCVBUF, &rcvbuf,
+                               sizeof rcvbuf);
+        setTimeout(listen_);
+        sockaddr_in addr{};
+        addr.sin_family = AF_INET;
+        addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+        socklen_t len = sizeof addr;
+        auto *sa = reinterpret_cast<sockaddr *>(&addr);
+        if (::bind(listen_, sa, len) != 0 || ::listen(listen_, 1) != 0 ||
+            ::getsockname(listen_, sa, &len) != 0)
+            throw Error("raw peer: cannot listen on loopback");
+        port_ = ntohs(addr.sin_port);
+    }
+
+    ~RawPeer()
+    {
+        if (conn_ >= 0)
+            ::close(conn_);
+        ::close(listen_);
+    }
+
+    RawPeer(const RawPeer &) = delete;
+    RawPeer &operator=(const RawPeer &) = delete;
+
+    u16 port() const { return port_; }
+
+    /** Accepts the one connection; false on timeout. */
+    bool
+    accept()
+    {
+        conn_ = ::accept4(listen_, nullptr, nullptr, SOCK_CLOEXEC);
+        if (conn_ >= 0)
+            setTimeout(conn_);
+        return conn_ >= 0;
+    }
+
+    /** Reads n bytes, at most chunk per recv(), sleeping pause after
+     *  each; returns fewer on EOF or timeout. */
+    std::vector<u8>
+    read(size_t n, size_t chunk, std::chrono::microseconds pause)
+    {
+        std::vector<u8> out(n);
+        size_t got = 0;
+        while (got < n) {
+            ssize_t r = ::recv(conn_, out.data() + got,
+                               std::min(chunk, n - got), 0);
+            if (r < 0 && errno == EINTR)
+                continue;
+            if (r <= 0)
+                break;
+            got += static_cast<size_t>(r);
+            std::this_thread::sleep_for(pause);
+        }
+        out.resize(got);
+        return out;
+    }
+
+    void
+    write(std::span<const u8> bytes)
+    {
+        while (!bytes.empty()) {
+            ssize_t r = ::send(conn_, bytes.data(), bytes.size(),
+                               MSG_NOSIGNAL);
+            if (r <= 0)
+                return;
+            bytes = bytes.subspan(static_cast<size_t>(r));
+        }
+    }
+
+  private:
+    static void
+    setTimeout(int fd)
+    {
+        timeval tv{};
+        tv.tv_sec = 10;
+        (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
+    }
+
+    int listen_ = -1;
+    int conn_ = -1;
+    u16 port_ = 0;
+};
+
 } // namespace
 
 // ---------------------------------------------------------------------
@@ -137,6 +250,29 @@ TEST(Frame, RoundTripOneByteAtATime)
             got.push_back(std::move(*p));
     }
     EXPECT_EQ(got, payloads);
+    EXPECT_EQ(codec.buffered(), 0u);
+    EXPECT_FALSE(codec.midFrame());
+
+    // A multi-MiB payload in 64 KiB reads (the server's recv chunk),
+    // so the header and many chunk edges fall inside one frame. It
+    // comes out in the buffer its header sized: no growth on the way.
+    std::vector<u8> big(3 * (1u << 20) + 17);
+    for (size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<u8>(i * 131 + 7);
+    std::vector<u8> big_wire = net::encodeFrame(big);
+    std::span<const u8> rest = big_wire;
+    std::vector<std::vector<u8>> got_big;
+    while (!rest.empty()) {
+        size_t take = std::min<size_t>(rest.size(), 64 * 1024);
+        codec.feed(rest.first(take));
+        rest = rest.subspan(take);
+        EXPECT_EQ(codec.hasCompleteFrame(), rest.empty());
+        while (auto p = codec.next())
+            got_big.push_back(std::move(*p));
+    }
+    ASSERT_EQ(got_big.size(), 1u);
+    EXPECT_TRUE(got_big[0] == big);
+    EXPECT_EQ(got_big[0].capacity(), big.size());
     EXPECT_EQ(codec.buffered(), 0u);
     EXPECT_FALSE(codec.midFrame());
 }
@@ -164,6 +300,29 @@ TEST(Frame, MultipleFramesInOneFeed)
                                        net::kFrameHeaderBytes,
                                    3));
     EXPECT_EQ(codec.next().value(), (std::vector<u8>{6, 5, 4}));
+
+    // A multi-MiB frame, a small frame and half a header in one feed:
+    // bytes past a frame's end start the next frame.
+    std::vector<u8> big(5 * (1u << 20) + 3);
+    for (size_t i = 0; i < big.size(); ++i)
+        big[i] = static_cast<u8>(i * 31 + 1);
+    std::vector<u8> more;
+    net::appendFrame(more, big);
+    net::appendFrame(more, std::vector<u8>{3, 2});
+    std::vector<u8> last = net::encodeFrame(std::vector<u8>{1});
+    more.insert(more.end(), last.begin(), last.begin() + 2);
+    codec.feed(more);
+    std::optional<std::vector<u8>> first = codec.next();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_TRUE(*first == big);
+    EXPECT_EQ(codec.next().value(), (std::vector<u8>{3, 2}));
+    EXPECT_EQ(codec.next(), std::nullopt);
+    EXPECT_EQ(codec.buffered(), 2u); // Half a header.
+    EXPECT_TRUE(codec.midFrame());
+    codec.feed(std::span<const u8>(last).subspan(2));
+    EXPECT_EQ(codec.next().value(), std::vector<u8>{1});
+    EXPECT_EQ(codec.buffered(), 0u);
+    EXPECT_FALSE(codec.midFrame());
 }
 
 TEST(Frame, ZeroLengthFramePoisons)
@@ -306,6 +465,23 @@ TEST(Registry, SessionLargerThanBudgetIsRejected)
     cfg.memoryBudgetBytes = probe.clients[0].keyBlob().size() - 1;
     RegistryFixture f(1, cfg);
     EXPECT_THROW(f.registerClient(0), Overloaded);
+    EXPECT_EQ(f.registry->stats().active, 0u);
+}
+
+TEST(Registry, OverBudgetUploadIsRejectedBeforeDecoding)
+{
+    // The size check comes first: an upload that can never fit is
+    // refused as Overloaded without decoding a byte, even when both
+    // blobs are garbage that the decoders would reject.
+    net::RegistryConfig cfg;
+    cfg.memoryBudgetBytes = 1024;
+    RegistryFixture f(0, cfg);
+    const std::vector<u8> garbage(2048, 0xee);
+    EXPECT_THROW(f.registry->registerClient(3, garbage, garbage),
+                 Overloaded);
+    EXPECT_THROW(f.registry->registerClient(
+                     3, garbage, std::span(garbage).first(1024)),
+                 SerializeError);
     EXPECT_EQ(f.registry->stats().active, 0u);
 }
 
@@ -639,10 +815,11 @@ TEST(NetServer, RegistrationSkipsTheQueryWindow)
     obs::Gauge &depth =
         obs::Registry::global().gauge(obs::names::kDispatchQueueDepth);
     const i64 idle = depth.value();
+    const std::vector<u8> qblob = a.queryBlob(0);
     PirQueryRef ref;
     ref.clientId = 1;
     ref.generation = ga;
-    ref.queryBlob = a.queryBlob(0);
+    ref.queryBlob = qblob;
     ca.sendFrame(serializeQueryRef(ref));
     auto wait_start = Clock::now();
     while (depth.value() == idle && seconds_since(wait_start) < 2.0)
@@ -761,6 +938,123 @@ TEST(NetServer, SlowlorisHalfFrameIsDisconnected)
     EXPECT_THROW((void)tcp.recvFrame(), Error);
     EXPECT_TRUE(tcp.closed());
     EXPECT_GE(f.server->stats().deadlineCloses, 1u);
+}
+
+TEST(NetServer, HeaderOnlyFramesStayNonResident)
+{
+    // Eight connections each send only a header declaring a
+    // maxFrameBytes (64 MiB) frame. Each codec reserves that payload
+    // buffer, but as address space: the process's RSS must grow by
+    // less than one such frame (a zero-filling codec makes 512 MiB
+    // resident), a ninth connection must still be served, and the
+    // slowloris deadline must close all eight.
+    net::NetServerConfig cfg = NetFixture::latencyConfig();
+    cfg.frameReadDeadlineSec = 0.2;
+    NetFixture f(cfg);
+    ClientSession cl(f.params, 7);
+    RefServer ref(cl);
+    const std::vector<u8> qblob = cl.queryBlob(3);
+    const std::vector<u8> want = ref.answer(qblob);
+
+    const u64 max = cfg.maxFrameBytes;
+    ASSERT_EQ(max, net::kDefaultMaxFrameBytes);
+    const std::array<u8, net::kFrameHeaderBytes> header =
+        net::frameHeader(max);
+    constexpr u64 kConnections = 8;
+    CounterDelta bytes_in(obs::names::kNetBytesIn);
+    CounterDelta deadline_closes(obs::names::kNetDeadlineCloses);
+    std::deque<PirTcpClient> idle;
+    const i64 rss0 = residentBytes();
+    for (u64 i = 0; i < kConnections; ++i) {
+        idle.emplace_back("127.0.0.1", f.server->port(), 5.0);
+        idle.back().sendRaw(header);
+    }
+    using Clock = std::chrono::steady_clock;
+    const auto t0 = Clock::now();
+    while (bytes_in() < kConnections * header.size() &&
+           Clock::now() - t0 < std::chrono::seconds(5))
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    ASSERT_EQ(bytes_in(), kConnections * header.size());
+    const i64 grown = residentBytes() - rss0;
+    EXPECT_LT(grown, static_cast<i64>(max))
+        << "eight header-only frames made " << grown
+        << " bytes resident";
+
+    PirTcpClient tcp = f.connect();
+    u64 gen = tcp.registerKeys(7, cl.paramsBlob(), cl.keyBlob());
+    EXPECT_EQ(tcp.query(7, gen, qblob), want);
+
+    for (PirTcpClient &c : idle) {
+        EXPECT_THROW((void)c.recvFrame(), Error);
+        EXPECT_TRUE(c.closed());
+    }
+    EXPECT_EQ(deadline_closes(), kConnections);
+}
+
+TEST(NetServer, ClientSendsExactlyTheSerializedFrames)
+{
+    // What registerKeys and query put on the socket, read raw off a
+    // plain accepting socket, is encodeFrame(serialize*(...)) byte for
+    // byte. The blobs are synthetic: only bytes are compared.
+    //
+    // The slow run shrinks the receive buffer and reads nothing for
+    // 1.5 send timeouts. The 8 MiB key blob outgrows the socket
+    // buffers, so the client's first sendmsg() blocks until its
+    // timeout and returns the bytes it sent so far; the client must
+    // resume there, inside an iovec. Had the whole frame gone out in
+    // one call, the client would wait for the ack past its timeout
+    // and the run would fail with DeadlineExceeded.
+    const std::vector<u8> params = serializeParams(netParams());
+    std::vector<u8> keys(8u << 20);
+    for (size_t i = 0; i < keys.size(); ++i)
+        keys[i] = static_cast<u8>(i * 131 + 7);
+    std::vector<u8> query(300 * 1024);
+    for (size_t i = 0; i < query.size(); ++i)
+        query[i] = static_cast<u8>(i * 17 + 3);
+    const std::vector<u8> want_reg = net::encodeFrame(
+        serializeRegisterKeys(PirRegisterKeys{5, params, keys}));
+    const std::vector<u8> want_query =
+        net::encodeFrame(serializeQueryRef(PirQueryRef{5, 9, query}));
+    const std::vector<u8> ack = serializeHello(PirHello{5, 9});
+
+    struct Run
+    {
+        const char *name;
+        int rcvbuf;
+        double timeoutSec;
+        std::chrono::milliseconds stall;
+    };
+    const Run runs[] = {
+        {"fast", 0, 10.0, std::chrono::milliseconds(0)},
+        {"slow", 8192, 0.25, std::chrono::milliseconds(375)},
+    };
+    for (const Run &run : runs) {
+        SCOPED_TRACE(run.name);
+        RawPeer peer(run.rcvbuf);
+        std::vector<u8> got_reg, got_query;
+        std::thread reader([&] {
+            if (!peer.accept())
+                return;
+            std::this_thread::sleep_for(run.stall);
+            const std::chrono::microseconds no_pause(0);
+            got_reg = peer.read(want_reg.size(), 16 * 1024, no_pause);
+            peer.write(net::encodeFrame(ack));
+            got_query = peer.read(want_query.size(), 16 * 1024, no_pause);
+            peer.write(net::encodeFrame(ack));
+        });
+        try {
+            PirTcpClient tcp("127.0.0.1", peer.port(), run.timeoutSec);
+            EXPECT_EQ(tcp.registerKeys(5, params, keys), 9u);
+            EXPECT_EQ(tcp.query(5, 9, query), ack);
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << e.what();
+        }
+        reader.join();
+        EXPECT_EQ(got_reg.size(), want_reg.size());
+        EXPECT_TRUE(got_reg == want_reg);
+        EXPECT_EQ(got_query.size(), want_query.size());
+        EXPECT_TRUE(got_query == want_query);
+    }
 }
 
 TEST(NetServer, ConnectionCapShedsWithOverloaded)
@@ -951,10 +1245,11 @@ TEST(NetFailpoints, ConnResetDropsConnectionButNotRegistry)
 
         // The next received frame kills the connection mid-protocol.
         FailpointGuard guard("net.conn.reset=nth:1");
+        const std::vector<u8> qblob = cl.queryBlob(0);
         PirQueryRef r;
         r.clientId = 7;
         r.generation = gen;
-        r.queryBlob = cl.queryBlob(0);
+        r.queryBlob = qblob;
         tcp.sendFrame(serializeQueryRef(r));
         EXPECT_THROW((void)tcp.recvFrame(), Error);
         EXPECT_TRUE(tcp.closed());

@@ -832,21 +832,45 @@ TEST(Serde, HelloRoundTrip)
     EXPECT_EQ(peekWireKind(blob), WireKind::Hello);
 }
 
+namespace {
+
+/** The bytes a view names, as a vector EXPECT_EQ can print. */
+std::vector<u8>
+bytesOf(std::span<const u8> view)
+{
+    return {view.begin(), view.end()};
+}
+
+/** True when view lies inside blob: a decoder that copied fails. */
+bool
+pointsInto(std::span<const u8> view, std::span<const u8> blob)
+{
+    return view.data() >= blob.data() &&
+           view.data() + view.size() <= blob.data() + blob.size();
+}
+
+} // namespace
+
 TEST(Serde, RegisterKeysRoundTrip)
 {
     SerdeFixture f;
+    const std::vector<u8> params = serializeParams(f.params);
+    // Contents are opaque here; any framed-looking bytes will do.
+    std::vector<u8> keys = serializeParams(f.params);
+    keys.push_back(0x5a);
     PirRegisterKeys reg;
     reg.clientId = 7;
-    reg.paramsBlob = serializeParams(f.params);
-    // Contents are opaque here; any framed-looking bytes will do.
-    reg.keyBlob = serializeParams(f.params);
-    reg.keyBlob.push_back(0x5a);
+    reg.paramsBlob = params;
+    reg.keyBlob = keys;
 
     std::vector<u8> blob = serializeRegisterKeys(reg);
     PirRegisterKeys back = deserializeRegisterKeys(blob);
     EXPECT_EQ(back.clientId, reg.clientId);
-    EXPECT_EQ(back.paramsBlob, reg.paramsBlob);
-    EXPECT_EQ(back.keyBlob, reg.keyBlob);
+    EXPECT_EQ(bytesOf(back.paramsBlob), params);
+    EXPECT_EQ(bytesOf(back.keyBlob), keys);
+    // Views into the frame, not copies of it.
+    EXPECT_TRUE(pointsInto(back.paramsBlob, blob));
+    EXPECT_TRUE(pointsInto(back.keyBlob, blob));
     EXPECT_EQ(serializeRegisterKeys(back), blob);
     EXPECT_EQ(peekWireKind(blob), WireKind::RegisterKeys);
 }
@@ -854,16 +878,18 @@ TEST(Serde, RegisterKeysRoundTrip)
 TEST(Serde, QueryRefRoundTrip)
 {
     SerdeFixture f;
+    const std::vector<u8> query = serializeParams(f.params);
     PirQueryRef ref;
     ref.clientId = 9;
     ref.generation = 3;
-    ref.queryBlob = serializeParams(f.params);
+    ref.queryBlob = query;
 
     std::vector<u8> blob = serializeQueryRef(ref);
     PirQueryRef back = deserializeQueryRef(blob);
     EXPECT_EQ(back.clientId, ref.clientId);
     EXPECT_EQ(back.generation, ref.generation);
-    EXPECT_EQ(back.queryBlob, ref.queryBlob);
+    EXPECT_EQ(bytesOf(back.queryBlob), query);
+    EXPECT_TRUE(pointsInto(back.queryBlob, blob));
     EXPECT_EQ(serializeQueryRef(back), blob);
     EXPECT_EQ(peekWireKind(blob), WireKind::QueryRef);
 }
@@ -921,10 +947,11 @@ TEST(Serde, ErrorResponseRejectsBadCodeAndHostileLength)
 TEST(Serde, RegisterKeysRejectsHostileNestedLengths)
 {
     SerdeFixture f;
+    const std::vector<u8> params = serializeParams(f.params);
     PirRegisterKeys reg;
     reg.clientId = 1;
-    reg.paramsBlob = serializeParams(f.params);
-    reg.keyBlob = serializeParams(f.params);
+    reg.paramsBlob = params;
+    reg.keyBlob = params;
     std::vector<u8> blob = serializeRegisterKeys(reg);
 
     // Layout: 6-byte header, u64 clientId, u64 params-blob length.
@@ -950,14 +977,15 @@ TEST(Serde, RegisterKeysRejectsHostileNestedLengths)
 TEST(Serde, SessionFrameTruncationSweeps)
 {
     SerdeFixture f;
+    const std::vector<u8> params = serializeParams(f.params);
     PirRegisterKeys reg;
     reg.clientId = 2;
-    reg.paramsBlob = serializeParams(f.params);
-    reg.keyBlob = serializeParams(f.params);
+    reg.paramsBlob = params;
+    reg.keyBlob = params;
     PirQueryRef ref;
     ref.clientId = 2;
     ref.generation = 1;
-    ref.queryBlob = serializeParams(f.params);
+    ref.queryBlob = params;
     PirErrorResponse err;
     err.code = NetErrorCode::Overloaded;
     err.message = "shed";
