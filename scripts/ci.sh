@@ -12,8 +12,9 @@
 #                    TSan stages)
 #   --skip-sanitize  only run the tier-1 (plain Release) configuration
 #                    (no ASan/UBSan, no TSan)
-#   --static         run ONLY the static-analysis stage (lint.py,
-#                    clang thread-safety build, clang-tidy) and exit
+#   --static         run ONLY the static-analysis stage (line counts,
+#                    lint.py, clang thread-safety build, clang-tidy)
+#                    and exit
 #   --faults         run ONLY the fault-injection stage (see below) and
 #                    exit; the stage is part of the default full run
 #
@@ -30,7 +31,11 @@
 # stalls) is pinned by test_net's NetFailpoints suite, which every
 # tier-1 and TSan run includes.
 #
-# The static stage is part of the default full run. The clang-based
+# The static stage is part of the default full run. It opens with a
+# log line per top-level src/ module counting its .cc/.hh lines
+# (subdirectories included) plus the serving total (pir + shard + net
+# + obs), so a change's src/ delta reads off the log; the counts gate
+# nothing. The clang-based
 # legs (thread-safety analysis, clang-tidy) self-skip with a log line
 # when no clang toolchain is installed — scripts/lint.py and the
 # warning-clean gcc build still gate the run — so the stage degrades
@@ -106,7 +111,26 @@ run_faults_stage() {
     (cd build/bench && ./bench_e2e_query --quick --inject --out /dev/null)
 }
 
+print_line_counts() {
+    echo "=== static: src/ line counts (.cc/.hh, log only) ==="
+    local dir mod lines total=0 serving=0
+    for dir in src/*/; do
+        mod=$(basename "$dir")
+        lines=$(find "$dir" \( -name '*.cc' -o -name '*.hh' \) -print0 |
+                xargs -0 -r cat | wc -l)
+        printf '  %-8s %6d\n' "$mod" "$lines"
+        total=$((total + lines))
+        case "$mod" in
+            pir|shard|net|obs) serving=$((serving + lines)) ;;
+        esac
+    done
+    printf '  %-8s %6d\n' src "$total"
+    printf '  %-8s %6d  (pir + shard + net + obs)\n' serving "$serving"
+}
+
 run_static_stage() {
+    print_line_counts
+
     echo "=== static: scripts/lint.py (self-test, then repo) ==="
     if command -v python3 > /dev/null 2>&1; then
         python3 scripts/lint.py --self-test

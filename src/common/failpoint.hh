@@ -58,8 +58,6 @@
  *   net.write.short         cap one socket send() to arg bytes
  *                           (exercises the partial-write path)
  *   net.conn.reset          close the connection when a frame arrives
- *   net.frame.corrupt       flip one byte of an outgoing response
- *                           payload (arg = offset from end)
  */
 
 #ifndef IVE_COMMON_FAILPOINT_HH

@@ -3,8 +3,8 @@
  * Fixed-size worker pool with a deterministic parallel-for.
  *
  * The server pipeline parallelizes over independent units (queries in a
- * batch, plaintext planes, RowSel output columns, RGSW gadget rows,
- * per-residue NTT planes and MAC-chain segments inside one op): each
+ * batch, plaintext planes, RowSel output columns and their residue
+ * planes, RGSW gadget rows, per-residue NTT planes inside one op): each
  * parallelFor index writes only to its own output slot, so results are
  * byte-identical at any thread count. Work is dispatched in contiguous
  * chunks sized by a caller-supplied minimum grain (parallelForChunked),

@@ -672,17 +672,10 @@ void
 PirTcpServer::enqueueResponse(Connection &c, u64 seq,
                               std::vector<u8> payload, bool is_error)
 {
-    static fail::Failpoint &corrupt = fail::point("net.frame.corrupt");
-
     NetMetrics &nm = netMetrics();
     if (is_error) {
         errorFrames_.fetch_add(1, std::memory_order_relaxed);
         nm.errorFrames.add(1);
-    } else if (fail::Hit h = corrupt.evaluate()) {
-        // Outgoing corruption drill: flip one byte of the response
-        // payload (arg = offset from the end) so client-side
-        // validation must catch it.
-        payload[payload.size() - 1 - (h.arg % payload.size())] ^= 0xFF;
     }
     c.ready.emplace(seq, std::move(payload));
     // In-order delivery: flush every response whose predecessors have

@@ -52,7 +52,8 @@
  *   net.read.stall    skip reads for arg ms (slowloris/deadline drill)
  *   net.write.short   cap one send() to arg bytes (partial-write path)
  *   net.conn.reset    close the connection upon a received frame
- *   net.frame.corrupt flip a byte in an outgoing response payload
+ * (Response corruption is pir/wire's serialize.response.corrupt, which
+ * every socket query's response passes through.)
  */
 
 #ifndef IVE_NET_SERVER_HH

@@ -1,7 +1,6 @@
 #include "pir/server.hh"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 
 #include "common/bitops.hh"
@@ -56,10 +55,11 @@ stageMetrics()
 /**
  * The wide rule for pipeline stages whose trip count can drop below
  * the pool size (early expansion levels, late tournament depths,
- * planes, RowSel columns): a loop runs serially when its count cannot
- * fill the lanes and the caller is not already a pool worker, so the
- * parallelism inside each iteration (subsInto / externalProductInto /
- * decomposePolyInto, RowSel's row segments) engages at top level.
+ * planes): a loop runs serially when its count cannot fill the lanes
+ * and the caller is not already a pool worker, so the parallelism
+ * inside each iteration (subsInto / externalProductInto /
+ * decomposePolyInto) engages at top level. RowSel's columns take the
+ * same test to decide whether to split by residue plane.
  */
 bool
 runsSerially(u64 count)
@@ -299,99 +299,55 @@ PirServer::rowSel(const std::vector<BfvCiphertext> &leaves,
     ive_assert(leaves.size() >= params_.d0);
     const Ring &ring = ctx_.ring();
     const u64 n = ring.n;
-    const int nk = ring.k();
-    const u64 words = ring.words();
+    const u64 nk = static_cast<u64>(ring.k());
     const u64 d0 = params_.d0;
     const u64 cols = localColumns();
     const u64 first = shard_ * cols * d0;
 
-    // Each column's D0-long plainMulAcc chain runs as segs contiguous
-    // row segments. Segment 0 accumulates in the column's output polys,
-    // later segments in leased scratch; every segment ends as a
-    // canonical plane (kernels::chainMac*: fused or strict by prime and
-    // segment length), and a column merges its segments with modular
-    // adds in ascending order. Columns run in passes of width columns
-    // under the wide rule. When whole columns fill the lanes, segs and
-    // width are 1, the passes spread over the pool, and the chain's one
-    // reduction is the whole merge. When they cannot (shard slices,
-    // small d), one pass holds every column and splits it into enough
-    // segments that the pass's cols * segs tasks (about 2 * lanes) fill
-    // the pool. Modular addition is associative, so the result is
-    // identical at any segs and any thread count.
+    // Task t owns column t / split and its residue planes
+    // [s * k / split, (s + 1) * k / split), s = t % split. Each plane's
+    // D0-long MAC chain per side (fused or strict by prime) runs in
+    // ascending row order and ends with chainMacFinish: the links a
+    // whole column runs, so each output word has one writer and the
+    // result is identical at any split and thread count. split is 1
+    // when the columns fill the lanes or the caller is a pool worker;
+    // otherwise a column splits into at most its k planes, so a host
+    // with more lanes than cols * k leaves lanes idle in a narrow
+    // RowSel (no benchmark host or workload is in that case).
     const u64 lanes = static_cast<u64>(ThreadPool::global().size());
-    const bool narrow = runsSerially(cols);
-    const u64 segs = narrow ? std::min(d0, divCeil(2 * lanes, cols)) : 1;
-    const u64 width = narrow ? cols : 1;
+    const u64 split =
+        runsSerially(cols) ? std::min(nk, divCeil(lanes, cols)) : 1;
 
     std::vector<BfvCiphertext> out(cols);
-    wideFor(cols / width, [&](u64 pass) {
-        // Segments 1..segs-1 of each column own 2*words words, a side
-        // then b, leased from the thread that runs the pass.
-        std::optional<WordLease> part;
-        if (segs > 1)
-            part.emplace(PolyWorkspace::local(),
-                         width * (segs - 1) * 2 * words);
-        auto partial = [&](u64 j, u64 s) {
-            return part->data() + (j * (segs - 1) + s - 1) * 2 * words;
-        };
-        parallelFor(0, width * segs, [&](u64 t) {
-            const u64 j = t / segs;
-            const u64 s = t % segs;
-            BfvCiphertext &col = out[pass * width + j];
-            u64 *acc_a;
-            u64 *acc_b;
-            if (s == 0) {
-                col.a = RnsPoly(ring, Domain::Ntt);
-                col.b = RnsPoly(ring, Domain::Ntt);
-                acc_a = col.a.residues(0).data();
-                acc_b = col.b.residues(0).data();
-            } else {
-                acc_a = partial(j, s);
-                acc_b = acc_a + words;
+    parallelFor(0, cols, [&](u64 c) {
+        out[c].a = RnsPoly(ring, Domain::Ntt);
+        out[c].b = RnsPoly(ring, Domain::Ntt);
+    });
+    parallelFor(0, cols * split, [&](u64 t) {
+        const u64 c = t / split;
+        const u64 s = t % split;
+        const int lo = static_cast<int>(s * nk / split);
+        const int hi = static_cast<int>((s + 1) * nk / split);
+        BfvCiphertext &col = out[c];
+        const u64 row0 = first + c * d0;
+        for (u64 i = 0; i < d0; ++i) {
+            const RnsPoly &entry = db_->entry(row0 + i, plane);
+            const BfvCiphertext &leaf = leaves[i];
+            for (int p = lo; p < hi; ++p) {
+                kernels::chainMacPair(ring.base.modulus(p), d0, n,
+                                      col.a.residues(p).data(),
+                                      col.b.residues(p).data(),
+                                      entry.residues(p).data(),
+                                      leaf.a.residues(p).data(),
+                                      leaf.b.residues(p).data(), i == 0,
+                                      i == 0);
             }
-            // Boundaries depend only on (d0, segs); segs <= d0 keeps
-            // every segment non-empty.
-            const u64 lo = s * d0 / segs;
-            const u64 hi = (s + 1) * d0 / segs;
-            const u64 row0 = first + (pass * width + j) * d0;
-            for (u64 i = lo; i < hi; ++i) {
-                const RnsPoly &entry = db_->entry(row0 + i, plane);
-                const BfvCiphertext &leaf = leaves[i];
-                for (int p = 0; p < nk; ++p) {
-                    const Modulus &mod = ring.base.modulus(p);
-                    const u64 off = static_cast<u64>(p) * n;
-                    const u64 *pe = entry.residues(p).data();
-                    kernels::chainMacPair(mod, hi - lo, n, acc_a + off,
-                                          acc_b + off, pe,
-                                          leaf.a.residues(p).data(),
-                                          leaf.b.residues(p).data(),
-                                          i == lo, i == lo);
-                }
-            }
-            for (int p = 0; p < nk; ++p) {
-                const Modulus &mod = ring.base.modulus(p);
-                const u64 off = static_cast<u64>(p) * n;
-                kernels::chainMacFinish(mod, hi - lo, n, acc_a + off);
-                kernels::chainMacFinish(mod, hi - lo, n, acc_b + off);
-            }
-        });
-        if (segs == 1)
-            return;
-
-        // One task per (column, side) output polynomial, so the narrow
-        // pass's width * 2 outputs spread over the pool.
-        parallelFor(0, width * 2, [&](u64 t) {
-            const u64 j = t / 2;
-            BfvCiphertext &col = out[pass * width + j];
-            RnsPoly &poly = t % 2 == 0 ? col.a : col.b;
-            for (u64 s = 1; s < segs; ++s) {
-                const u64 *src = partial(j, s) + t % 2 * words;
-                for (int p = 0; p < nk; ++p)
-                    kernels::addVec(poly.residues(p).data(),
-                                    src + static_cast<u64>(p) * n, n,
-                                    ring.base.modulus(p).value());
-            }
-        });
+        }
+        for (int p = lo; p < hi; ++p) {
+            const Modulus &mod = ring.base.modulus(p);
+            kernels::chainMacFinish(mod, d0, n, col.a.residues(p).data());
+            kernels::chainMacFinish(mod, d0, n, col.b.residues(p).data());
+        }
     });
     counters_.plainMulAccs.fetch_add(cols * d0, std::memory_order_relaxed);
     sm.plainMulAccs.add(cols * d0);

@@ -52,8 +52,8 @@ struct ServerCountersSnapshot
  * Atomic because independent queries / planes / RowSel columns run
  * concurrently on the thread pool; relaxed increments keep the exact
  * totals the complexity model checks against. Counters are cumulative
- * over the server's lifetime; reset() is explicit, never implicit per
- * call. Relaxed atomics carry no capability annotations by policy
+ * over the server's lifetime and only grow; callers compare snapshot()
+ * deltas. Relaxed atomics carry no capability annotations by policy
  * (common/annotations.hh); snapshot() may tear across fields while
  * queries are in flight, which callers accept.
  */
@@ -69,14 +69,6 @@ struct ServerCounters
         return {subsOps.load(std::memory_order_relaxed),
                 externalProducts.load(std::memory_order_relaxed),
                 plainMulAccs.load(std::memory_order_relaxed)};
-    }
-
-    void
-    reset()
-    {
-        subsOps.store(0, std::memory_order_relaxed);
-        externalProducts.store(0, std::memory_order_relaxed);
-        plainMulAccs.store(0, std::memory_order_relaxed);
     }
 };
 
@@ -133,11 +125,11 @@ class PirServer
     /**
      * RowSel over one plane: one accumulated ciphertext per local
      * database column (2^d for the whole store, fewer for a slice).
-     * One loop: columns follow the wide rule, each column's D0-long
-     * MAC chain runs as segs row segments (1 unless the columns cannot
-     * fill the lanes, in which case one pass of all columns' segments
-     * fills the pool), and one ascending merge per column pays the
-     * chain's deferred reduction. Identical at any thread count.
+     * One parallel pass of cols * split tasks, each owning one column's
+     * contiguous range of residue planes and running their D0-long MAC
+     * chains whole. split is 1 when the columns fill the lanes (or the
+     * caller is a pool worker), else min(k, ceil(lanes / cols)).
+     * Identical at any thread count.
      */
     std::vector<BfvCiphertext>
     rowSel(const std::vector<BfvCiphertext> &leaves, int plane = 0) const;
@@ -171,7 +163,6 @@ class PirServer
     u32 numShards() const { return numShards_; }
 
     const ServerCounters &counters() const { return counters_; }
-    void resetCounters() const { counters_.reset(); }
 
     const HeContext &context() const { return ctx_; }
     const PirParams &params() const { return params_; }

@@ -24,8 +24,8 @@
  *    canonical residues fits in 64 bits, and a chain of L products
  *    plus one canonical addend fits a u64 accumulator while
  *    (q - 1)^2 * L + q < 2^64 (about 960 links for the 28-bit paper
- *    primes, against D0-long RowSel segments, l-long key-switch sums
- *    and 2l-long external-product sums). Barrett reduction is then
+ *    primes, against D0-long RowSel column chains, l-long key-switch
+ *    sums and 2l-long external-product sums). Barrett reduction is then
  *    paid once per output word per *chain*. Longer chains and larger
  *    test primes fall back to the strict per-product kernels.
  *
@@ -231,14 +231,15 @@ fusedMacOk(const Modulus &mod, u64 links)
 
 // --- per-plane MAC-chain dispatch ------------------------------------
 //
-// The chain sites (RowSel segments, the external product's 2l-row
-// sums, Subs' key-switch sums) share one policy, decided here from
-// (modulus, chain length): a fused chain accumulates raw u64 products
-// in its destination plane and reduces once at the end; a strict chain
-// multiply-accumulates canonically into the same plane as it goes.
-// Either way the destination ends canonical, equal to (addend + sum of
-// products) mod q, so the two paths are interchangeable bit for bit.
-// Keeping the dispatch here means a policy change edits one place.
+// The chain sites (RowSel's D0-long column chains, the external
+// product's 2l-row sums, Subs' key-switch sums) share one policy,
+// decided here from (modulus, chain length): a fused chain accumulates
+// raw u64 products in its destination plane and reduces once at the
+// end; a strict chain multiply-accumulates canonically into the same
+// plane as it goes. Either way the destination ends canonical, equal
+// to (addend + sum of products) mod q, so the two paths are
+// interchangeable bit for bit. Keeping the dispatch here means a
+// policy change edits one place.
 
 /**
  * Two links of two chains that share their first operand: dst0 (+)=

@@ -42,12 +42,6 @@ RnsPoly::coeffResidues(u64 i, std::span<u64> out) const
 }
 
 void
-RnsPoly::setZero()
-{
-    std::fill(data_.begin(), data_.end(), 0);
-}
-
-void
 RnsPoly::addInPlace(const Ring &ring, const RnsPoly &other)
 {
     ive_assert(domain_ == other.domain_ && n_ == other.n_);
@@ -188,28 +182,20 @@ RnsPoly::nttAutomorphismMap(u64 n, u64 r, std::span<u64> map_out)
     }
 }
 
-void
-RnsPoly::automorphismInto(const Ring &ring, u64 r, RnsPoly &out,
-                          std::span<u64> map_scratch) const
-{
-    automorphismMap(n_, r, map_scratch);
-    applyCoeffMap(ring, map_scratch, out);
-}
-
 RnsPoly
 RnsPoly::automorphism(const Ring &ring, u64 r) const
 {
     RnsPoly out(ring, Domain::Coeff);
     std::vector<u64> map(n_);
-    automorphismInto(ring, r, out, map);
+    automorphismMap(n_, r, map);
+    applyCoeffMap(ring, map, out);
     return out;
 }
 
-void
-RnsPoly::monomialMulInto(const Ring &ring, i64 e, RnsPoly &out,
-                         std::span<u64> map_scratch) const
+RnsPoly
+RnsPoly::monomialMul(const Ring &ring, i64 e) const
 {
-    ive_assert(map_scratch.size() >= n_);
+    std::vector<u64> map(n_);
     u64 two_n = 2 * n_;
     // Normalize the exponent into [0, 2n).
     u64 shift = static_cast<u64>(((e % static_cast<i64>(two_n)) +
@@ -221,17 +207,10 @@ RnsPoly::monomialMulInto(const Ring &ring, i64 e, RnsPoly &out,
             j -= two_n;
         u64 flip = j >= n_ ? 1 : 0;
         u64 pos = flip ? j - n_ : j;
-        map_scratch[i] = (pos << 1) | flip;
+        map[i] = (pos << 1) | flip;
     }
-    applyCoeffMap(ring, map_scratch, out);
-}
-
-RnsPoly
-RnsPoly::monomialMul(const Ring &ring, i64 e) const
-{
     RnsPoly out(ring, Domain::Coeff);
-    std::vector<u64> map(n_);
-    monomialMulInto(ring, e, out, map);
+    applyCoeffMap(ring, map, out);
     return out;
 }
 

@@ -61,8 +61,6 @@ class RnsPoly
     /** All residues of coefficient i (coeff domain only). */
     void coeffResidues(u64 i, std::span<u64> out) const;
 
-    void setZero();
-
     // --- element-wise arithmetic (domains must match) ---
     void addInPlace(const Ring &ring, const RnsPoly &other);
     void subInPlace(const Ring &ring, const RnsPoly &other);
@@ -88,16 +86,6 @@ class RnsPoly
      * i*r mod n with sign flip when i*r mod 2n >= n.
      */
     RnsPoly automorphism(const Ring &ring, u64 r) const;
-
-    /**
-     * Allocation-free automorphism: writes sigma_r(this) into `out`
-     * (fully overwritten, domain set to Coeff). `map_scratch` must hold
-     * n words; the index/flip map is computed once into it and applied
-     * prime-major, so writes stay within one residue plane at a time.
-     * `out` must not alias this.
-     */
-    void automorphismInto(const Ring &ring, u64 r, RnsPoly &out,
-                          std::span<u64> map_scratch) const;
 
     /**
      * The (pos << 1 | flip) coefficient map of the automorphism
@@ -129,10 +117,6 @@ class RnsPoly
      * callers multiply by a precomputed NTT(X^e) instead.
      */
     RnsPoly monomialMul(const Ring &ring, i64 e) const;
-
-    /** Allocation-free monomialMul (see automorphismInto). */
-    void monomialMulInto(const Ring &ring, i64 e, RnsPoly &out,
-                         std::span<u64> map_scratch) const;
 
     /** NTT-domain image of the monomial X^e (e may be negative). */
     static RnsPoly monomialNtt(const Ring &ring, i64 e);

@@ -110,30 +110,4 @@ PolyWorkspace::givePolyVec(std::vector<RnsPoly> &&polys)
     freeVecs_.push_back(std::move(polys));
 }
 
-AlignedU64Vec
-PolyWorkspace::takeWords(u64 count)
-{
-    for (size_t i = freeWords_.size(); i-- > 0;) {
-        if (freeWords_[i].capacity() >= count) {
-            AlignedU64Vec buf = std::move(freeWords_[i]);
-            freeWords_.erase(freeWords_.begin() +
-                             static_cast<ptrdiff_t>(i));
-            bump(g_buf_reuses);
-            buf.resize(count);
-            return buf;
-        }
-    }
-    bump(g_buf_allocs);
-    AlignedU64Vec buf(count);
-    return buf;
-}
-
-void
-PolyWorkspace::giveWords(AlignedU64Vec &&buf)
-{
-    if (buf.capacity() == 0)
-        return;
-    freeWords_.push_back(std::move(buf));
-}
-
 } // namespace ive

@@ -2,14 +2,15 @@
  * @file
  * Per-thread scratch pool for the serving hot path.
  *
- * Every expand / RowSel / external-product / fold step used to build
- * its temporaries (digit polynomials, rotated copies, difference
- * ciphertexts, partial sums) as fresh heap allocations. PolyWorkspace
- * keeps per-thread free lists of RnsPoly objects and u64 scratch
- * buffers, so a steady-state query performs zero per-op heap
- * allocations: the first query on each worker warms the pool and later
- * queries recycle it. MAC chains accumulate in their destination
- * planes (poly/kernels.hh), so there is no accumulator buffer to pool.
+ * Every expand / external-product / fold step used to build its
+ * temporaries (digit polynomials, rotated copies, difference
+ * ciphertexts) as fresh heap allocations. PolyWorkspace keeps
+ * per-thread free lists of RnsPoly objects and of the containers that
+ * hold gadget-digit vectors, so a steady-state query performs zero
+ * per-op heap allocations: the first query on each worker warms the
+ * pool and later queries recycle it. MAC chains accumulate in their
+ * destination planes (poly/kernels.hh), and RowSel writes each output
+ * word from one task, so there is no accumulator buffer to pool.
  *
  * The pool is thread_local (one per thread-pool worker plus the calling
  * thread), so leases never cross threads and need no locking. Leases
@@ -26,8 +27,6 @@
 
 #include <vector>
 
-#include "common/align.hh"
-#include "common/logging.hh"
 #include "poly/poly.hh"
 
 namespace ive {
@@ -43,8 +42,8 @@ class PolyWorkspace
     {
         u64 polyAllocs = 0; ///< RnsPoly constructed (pool miss).
         u64 polyReuses = 0; ///< RnsPoly served from the free list.
-        u64 bufAllocs = 0;  ///< Scratch buffer / container growth.
-        u64 bufReuses = 0;  ///< Buffer served from the free list.
+        u64 bufAllocs = 0;  ///< Digit-vector container growth.
+        u64 bufReuses = 0;  ///< Container served from the free list.
     };
     static Stats stats();
 
@@ -59,11 +58,6 @@ class PolyWorkspace
     std::vector<RnsPoly> takePolyVec(const Ring &ring, Domain domain,
                                      u64 count);
     void givePolyVec(std::vector<RnsPoly> &&polys);
-
-    /** 64-byte-aligned u64 scratch of `count` elements (contents
-     *  unspecified). */
-    AlignedU64Vec takeWords(u64 count);
-    void giveWords(AlignedU64Vec &&buf);
 
     /**
      * Retags a polynomial's domain without transforming data. For the
@@ -95,7 +89,6 @@ class PolyWorkspace
 
     std::vector<Shelf> shelves_;
     std::vector<std::vector<RnsPoly>> freeVecs_;
-    std::vector<AlignedU64Vec> freeWords_;
 };
 
 /** RAII lease of one workspace polynomial. */
@@ -139,29 +132,6 @@ class PolyVecLease
   private:
     PolyWorkspace *ws_;
     std::vector<RnsPoly> polys_;
-};
-
-/** RAII lease of cache-line-aligned u64 scratch. */
-class WordLease
-{
-  public:
-    WordLease(PolyWorkspace &ws, u64 count)
-        : ws_(&ws), buf_(ws.takeWords(count))
-    {
-        ive_assert(isCacheAligned(buf_.data()),
-                   "workspace scratch lost cache-line alignment");
-    }
-    ~WordLease() { ws_->giveWords(std::move(buf_)); }
-
-    WordLease(const WordLease &) = delete;
-    WordLease &operator=(const WordLease &) = delete;
-
-    u64 *data() { return buf_.data(); }
-    std::span<u64> span() { return {buf_.data(), buf_.size()}; }
-
-  private:
-    PolyWorkspace *ws_;
-    AlignedU64Vec buf_;
 };
 
 } // namespace ive

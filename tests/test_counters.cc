@@ -24,7 +24,6 @@ TEST(Counters, ServerOpCountsMatchModel)
                      std::make_shared<const PirPublicKeys>(
                          client.genPublicKeys()));
 
-    server.resetCounters();
     PirQuery q = client.makeQuery(5);
     (void)server.processAllPlanes(q);
 

@@ -1271,11 +1271,13 @@ TEST(NetFailpoints, FrameCorruptIsDetectableByByteComparison)
     PirTcpClient tcp = f.connect();
     u64 gen = tcp.registerKeys(7, cl.paramsBlob(), cl.keyBlob());
 
-    // Corrupt exactly the first non-error response after arming:
-    // the drill flips the last payload byte (arg=0 => offset 0 from
-    // the end), so the expected blob with that byte flipped back must
+    // Corrupt exactly the first response serialized after arming: the
+    // drill flips the last payload byte (arg=0 => offset 0 from the
+    // end), so the expected blob with that byte flipped back must
     // equal what arrived — proving the corruption is the ONLY delta.
-    FailpointGuard guard("net.frame.corrupt=nth:1,arg=0");
+    // The socket answer is encoded first; ref.answer runs after the
+    // one fire, so it is clean.
+    FailpointGuard guard("serialize.response.corrupt=nth:1,arg=0");
     std::vector<u8> qblob = cl.queryBlob(4);
     PirQueryRef r;
     r.clientId = 7;

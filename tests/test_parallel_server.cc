@@ -90,21 +90,30 @@ TEST(ParallelServer, SingleQueryPipelineIdenticalAcrossThreadCounts)
     EXPECT_EQ(f.client.decode(base), f.db.entryCoeffs(42));
 }
 
-TEST(ParallelServer, SegmentedRowSelIdenticalWhenColumnsUnderfillPool)
+TEST(ParallelServer, PlaneSplitRowSelIdenticalWhenColumnsUnderfillPool)
 {
-    // cols = 2 with d0 = 32 cannot fill 3 or 8 lanes, so RowSel splits
-    // each column's MAC chain into segment partials and merges them;
-    // cols = 4 with d0 = 16 runs whole columns on 3 lanes and segments
-    // on 8; cols = 8 with d0 = 16 runs whole columns. Either way the
-    // response must match the 1-thread chain exactly and decode. The
-    // mixed basis adds a prime >= 2^32 (simd::kFusedMacModulusBound),
-    // whose planes take the strict canonical branch of the chain and
-    // the merge.
+    // When cols cannot fill the lanes, RowSel splits each column into
+    // split = min(k, ceil(lanes / cols)) residue-plane ranges
+    // [s * k / split, (s + 1) * k / split); otherwise it runs whole
+    // columns. With the default basis (k = 4):
+    //   d0 64, d 0 (1 column):  {0} {1} {2,3} at 3 lanes, 4 x 1 at 8;
+    //   d0 32, d 1 (2 columns): {0,1} {2,3} at 3 lanes, 4 x 1 at 8;
+    //   d0 16, d 2 (4 columns): whole at 3 lanes, {0,1} {2,3} at 8;
+    //   d0 16, d 3 (8 columns): whole at 3 and 8 lanes.
+    // The mixed basis (k = 3) puts a prime >= 2^32
+    // (simd::kFusedMacModulusBound) at plane 2, whose chains take the
+    // strict canonical branch. 2 columns on 3 lanes give the uneven
+    // ranges {0} and {1, 2}, so the strict prime shares a task with a
+    // fused one; 1 column runs one plane per task at 3 and 8 lanes, 2
+    // columns at 8, and 4 columns {0} {1,2} at 8. Every response must
+    // match the 1-thread chain exactly and decode.
     const std::vector<u64> mixed = {kIvePrimes[0], kIvePrimes[1],
                                     findNttPrimes(45, 256, 1)[0]};
     for (bool strict : {false, true}) {
-        for (auto [d0, d] :
-             {std::pair<u64, int>{32, 1}, {16, 2}, {16, 3}}) {
+        for (auto [d0, d] : {std::pair<u64, int>{64, 0},
+                             {32, 1},
+                             {16, 2},
+                             {16, 3}}) {
             PirParams params = smallParams(d0, d);
             if (strict) {
                 params.he.primes = mixed;
@@ -163,13 +172,14 @@ TEST(ParallelServer, ExpandAndSelectMatchesSeparatePhases)
     ThreadPool::setGlobalThreads(1);
 }
 
-TEST(ParallelServer, StressConcurrentHostsHitSegmentedMerge)
+TEST(ParallelServer, StressConcurrentHostsSplitRowSelByPlane)
 {
-    // TSan stress for the per-thread partial-accumulator merge: several
-    // host threads answer the same query through the shared global pool
-    // while cols < lanes makes RowSel split every column into segments.
-    // Any cross-thread race on the partial slices, the merge, or the
-    // workspace leases shows up under -L thread (scripts/ci.sh TSan
+    // TSan stress for RowSel's plane split: several host threads answer
+    // the same query through the shared global pool while 2 columns on
+    // 4 lanes make RowSel split every column into the plane ranges
+    // {0,1} and {2,3}, two tasks writing disjoint planes of one output.
+    // Any cross-thread race on the outputs, their allocation pass, or
+    // the workspace leases shows up under -L thread (scripts/ci.sh TSan
     // stage runs this binary).
     PirParams params = smallParams(32, 1);
     PirFixture f(params, 17);
@@ -309,18 +319,24 @@ TEST(ParallelServer, CountersStayExactUnderParallelism)
     PirFixture f(params, 77);
     PirQuery q = f.client.makeQuery(5);
 
+    // Counters only grow, so each answer is measured as a delta.
+    auto delta = [&] {
+        ServerCountersSnapshot before = f.server.counters().snapshot();
+        (void)answerOne(f.server, q);
+        ServerCountersSnapshot after = f.server.counters().snapshot();
+        return ServerCountersSnapshot{
+            after.subsOps - before.subsOps,
+            after.externalProducts - before.externalProducts,
+            after.plainMulAccs - before.plainMulAccs};
+    };
     ThreadPool::setGlobalThreads(1);
-    f.server.resetCounters();
-    (void)answerOne(f.server, q);
-    u64 subs = f.server.counters().subsOps;
-    u64 ext = f.server.counters().externalProducts;
-    u64 macs = f.server.counters().plainMulAccs;
-
+    ServerCountersSnapshot seq = delta();
     ThreadPool::setGlobalThreads(8);
-    f.server.resetCounters();
-    (void)answerOne(f.server, q);
-    EXPECT_EQ(f.server.counters().subsOps, subs);
-    EXPECT_EQ(f.server.counters().externalProducts, ext);
-    EXPECT_EQ(f.server.counters().plainMulAccs, macs);
+    ServerCountersSnapshot par = delta();
     ThreadPool::setGlobalThreads(1);
+
+    EXPECT_GT(seq.plainMulAccs, 0u);
+    EXPECT_EQ(par.subsOps, seq.subsOps);
+    EXPECT_EQ(par.externalProducts, seq.externalProducts);
+    EXPECT_EQ(par.plainMulAccs, seq.plainMulAccs);
 }
